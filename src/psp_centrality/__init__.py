@@ -33,8 +33,6 @@ from .possible_worlds import (
 )
 from .psp import (
     ExplorationRound,
-    MinEdgeTag,
-    PathRecord,
     all_shortest_paths_round,
     psp_betweenness_all,
     psp_distance_distribution,
@@ -55,8 +53,6 @@ __all__ = [
     "ExplorationRound",
     "GenSpec",
     "McConfig",
-    "MinEdgeTag",
-    "PathRecord",
     "PossibleWorld",
     "UncertainGraph",
     "DEFAULT_ENUMERATION_CAP",

@@ -2,7 +2,10 @@
 
 Results are returned in task-submission order regardless of worker count or
 scheduling, so floating-point reductions done by the caller are bitwise
-reproducible. Worker state is set up once per process by the initializer.
+reproducible. Callers bind their state (graph, settings) into ``fn`` with
+``functools.partial``; the pool hands ``fn`` to each worker once, when the
+worker starts. Workers are forked, so ``fn`` and the state it holds are
+inherited rather than pickled; only the tasks and results travel per task.
 """
 
 from __future__ import annotations
@@ -10,24 +13,32 @@ from __future__ import annotations
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 
+_worker_fn = None  # fn of the pool this worker process belongs to
 
-def run_ordered(fn, tasks, workers, initializer=None, initargs=()):
+
+def _set_worker_fn(fn) -> None:
+    global _worker_fn
+    _worker_fn = fn
+
+
+def _call_worker_fn(task):
+    return _worker_fn(task)
+
+
+def run_ordered(fn, tasks, workers):
     """Map fn over tasks, returning the results in task order.
 
-    With ``workers <= 1`` everything runs in-process (the initializer is
-    still called so fn sees the same module globals either way).
+    With ``workers <= 1`` (or a single task) everything runs in-process.
     """
     tasks = list(tasks)
     if workers <= 1 or len(tasks) <= 1:
-        if initializer is not None:
-            initializer(*initargs)
         return [fn(t) for t in tasks]
     ctx = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(
         max_workers=workers,
         mp_context=ctx,
-        initializer=initializer,
-        initargs=initargs,
+        initializer=_set_worker_fn,
+        initargs=(fn,),
     ) as pool:
-        futures = [pool.submit(fn, t) for t in tasks]
+        futures = [pool.submit(_call_worker_fn, t) for t in tasks]
         return [f.result() for f in futures]

@@ -9,14 +9,14 @@ nonzero with a one-line diagnostic on error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
 import time
 
-
 from . import experiments, scores_io
-from .evaluation import CSV_COLUMNS, ExperimentReport, compute_centrality, mae, scc
+from .evaluation import ExperimentReport, compute_centrality, mae, scc
 from .generators import GenSpec, generate
 from .graph_model import load_graph, save_graph
 from .possible_worlds import DEFAULT_ENUMERATION_CAP
@@ -180,22 +180,15 @@ def _cmd_compare(args) -> int:
         runtime_b_ms=0.0,
         seed=a.seed,
     )
-    if args.format == "json":
-        text = report.to_json() + "\n"
-    else:
-        import csv as _csv
-        import io
-
-        buf = io.StringIO()
-        writer = _csv.writer(buf)
-        writer.writerow(CSV_COLUMNS)
-        writer.writerow(report.csv_row())
-        text = buf.getvalue()
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        out = open(args.output, "w", newline="", encoding="utf-8")
     else:
-        sys.stdout.write(text)
+        out = contextlib.nullcontext(sys.stdout)
+    with out as fh:
+        if args.format == "json":
+            fh.write(report.to_json() + "\n")
+        else:
+            experiments.write_reports_csv(fh, [report])
     return 0
 
 

@@ -63,29 +63,37 @@ def bfs_distances(w: PossibleWorld, source: int) -> DistanceVector:
     return DistanceVector(source=source, dist=dist)
 
 
+_EXACT_F32 = 2.0**24  # float32 holds every integer below this exactly
+
+
 def _level_masks(a: np.ndarray) -> list[np.ndarray]:
-    """Boolean masks L[d][s, v] == True iff dist(s, v) == d + 1, for all sources."""
+    """Per BFS level d + 1, the float32 0/1 matrix L[s, v] = 1 iff dist(s, v) == d + 1.
+
+    The reach products run in float32: they count 0/1 terms, at most n of
+    them, so they are exact and twice as cheap as in float64.
+    """
     n = a.shape[0]
+    a32 = a.astype(np.float32)
     visited = np.eye(n, dtype=bool)
-    frontier = visited.astype(np.float64)
+    frontier = np.eye(n, dtype=np.float32)
     levels = []
     while True:
-        reach = frontier @ a
-        nxt = reach > 0.0
+        nxt = frontier @ a32 > 0.0
         nxt &= ~visited
         if not nxt.any():
             return levels
-        levels.append(nxt)
         visited |= nxt
-        frontier = nxt.astype(np.float64)
+        frontier = nxt.astype(np.float32)
+        levels.append(frontier)
 
 
 def harmonic_scores_from_adjacency(a: np.ndarray) -> np.ndarray:
     """Normalized harmonic closeness of every node for adjacency matrix a."""
     n = a.shape[0]
+    ones = np.ones(n, dtype=np.float32)
     acc = np.zeros(n)
-    for d, mask in enumerate(_level_masks(a), start=1):
-        acc += mask.sum(axis=0) / d
+    for d, level in enumerate(_level_masks(a), start=1):
+        acc += (ones @ level).astype(np.float64) / d  # sources at distance d, exact
     return acc / (n - 1)
 
 
@@ -97,32 +105,41 @@ def betweenness_scores_from_adjacency(a: np.ndarray) -> np.ndarray:
     seen from both endpoints, hence the single 1/((n-1)(n-2)) normalization.
     """
     n = a.shape[0]
+    # Path counts are integers, so float32 products count them exactly (and
+    # twice as fast) while every count stays below 2**24; past that the
+    # forward sweep continues in float64.
+    a_fwd = a.astype(np.float32)
     visited = np.eye(n, dtype=bool)
-    sigma = np.eye(n)
-    sigma_front = np.eye(n)  # sigma restricted to the current frontier
-    levels = []
-    sigma_levels = []
+    sigma_front = np.eye(n, dtype=np.float32)  # counts on the frontier, 0 elsewhere
+    levels = []  # per level: flat (source, node) indices and their path counts
     while True:
-        flow = sigma_front @ a
+        flow = sigma_front @ a_fwd
+        if a_fwd.dtype == np.float32 and flow.max() >= _EXACT_F32:
+            a_fwd = a
+            flow = sigma_front.astype(np.float64) @ a
         nxt = flow > 0.0
         nxt &= ~visited
-        if not nxt.any():
+        idx = np.flatnonzero(nxt)
+        if not idx.size:
             break
-        sigma_front = flow * nxt
-        sigma += sigma_front
+        sigma = flow.ravel()[idx]
+        sigma_front = np.zeros((n, n), dtype=flow.dtype)
+        sigma_front.ravel()[idx] = sigma
         visited |= nxt
-        levels.append(nxt)
-        sigma_levels.append(sigma_front)
+        levels.append((idx, sigma.astype(np.float64)))
 
-    delta = np.zeros((n, n))
+    # Only the level entries of delta change, so the backward sweep reads and
+    # writes just those. The product itself stays a dense matmul: a sparse one
+    # sums in another order and changes the scores' last bits.
+    delta = np.zeros(n * n)
     for i in range(len(levels) - 1, 0, -1):
-        cur = levels[i]
-        coef = np.divide(1.0 + delta, sigma, out=np.zeros((n, n)), where=cur)
-        spread = coef @ a
-        spread *= levels[i - 1]
-        spread *= sigma_levels[i - 1]
-        delta += spread
-    return delta.sum(axis=0) / ((n - 1) * (n - 2))
+        idx, sigma = levels[i]
+        coef = np.zeros((n, n))
+        coef.ravel()[idx] = (1.0 + delta[idx]) / sigma
+        spread = (coef @ a).ravel()
+        up_idx, up_sigma = levels[i - 1]
+        delta[up_idx] += spread[up_idx] * up_sigma
+    return delta.reshape(n, n).sum(axis=0) / ((n - 1) * (n - 2))
 
 
 def harmonic_closeness(w: PossibleWorld) -> CentralityVector:

@@ -9,6 +9,7 @@ exploration-threshold grid.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import os
 from dataclasses import dataclass
@@ -93,17 +94,8 @@ def _cell_seeds(base_seed: int, model_i: int, dist_i: int, graph_i: int) -> tupl
     return graph_seed, mc_seed
 
 
-_SETTINGS: SweepSettings | None = None
-
-
-def _init_sweep(settings: SweepSettings):
-    global _SETTINGS
-    _SETTINGS = settings
-
-
-def _sweep_cell(task) -> list[ExperimentReport]:
+def _sweep_cell(cfg: SweepSettings, task) -> list[ExperimentReport]:
     model_i, dist_i, graph_i = task
-    cfg = _SETTINGS
     model = cfg.models[model_i]
     dist = cfg.dists[dist_i]
     graph_seed, mc_seed = _cell_seeds(cfg.seed, model_i, dist_i, graph_i)
@@ -138,22 +130,23 @@ def phi_sweep(settings: SweepSettings) -> list[ExperimentReport]:
         for gi in range(settings.graphs_per_cell)
     ]
     results = _parallel.run_ordered(
-        _sweep_cell, tasks, settings.jobs, initializer=_init_sweep, initargs=(settings,)
+        functools.partial(_sweep_cell, settings), tasks, settings.jobs
     )
     return [report for cell in results for report in cell]
 
 
-def write_reports_csv(path, reports) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for r in reports:
-            writer.writerow(r.csv_row())
+def write_reports_csv(fh, reports) -> None:
+    """Write the CSV header and one row per report to an open text stream."""
+    writer = csv.writer(fh)
+    writer.writerow(CSV_COLUMNS)
+    for r in reports:
+        writer.writerow(r.csv_row())
 
 
 def write_sweep_outputs(out_dir, settings: SweepSettings, reports) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    write_reports_csv(os.path.join(out_dir, "sweep.csv"), reports)
+    with open(os.path.join(out_dir, "sweep.csv"), "w", newline="", encoding="utf-8") as fh:
+        write_reports_csv(fh, reports)
     summary: dict = {}
     for r in reports:
         key = f"{r.model}/{r.prob_dist}/{r.measure}/phi={r.method_a['phi']}"

@@ -50,7 +50,6 @@ class UncertainGraph:
         "node_count",
         "edges",
         "probs",
-        "prob_map",
         "adj",
         "edge_u",
         "edge_v",
@@ -86,7 +85,6 @@ class UncertainGraph:
         self.edges = tuple(canon)
         probs.setflags(write=False)
         self.probs = probs
-        self.prob_map = {e: float(p) for e, p in zip(canon, probs)}
         adj = [[] for _ in range(node_count)]
         for e, p in zip(canon, probs):
             if p == 0.0:
@@ -219,6 +217,8 @@ def load_graph(path) -> UncertainGraph:
                         header_nodes = int(tokens[1])
                     except ValueError:
                         raise EdgeListParseError(f"line {lineno}: bad node count {tokens[1]!r}") from None
+                    if header_nodes < 0:
+                        raise EdgeListParseError(f"line {lineno}: negative node count {header_nodes}")
                 continue
             text = stripped.split("#", 1)[0].strip()
             if not text:

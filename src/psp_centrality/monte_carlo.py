@@ -9,6 +9,7 @@ per-sample mean and the whole pipeline is deterministic for any worker count.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,28 +58,18 @@ def _sample_world_codes(g: UncertainGraph, cfg: McConfig):
     return np.unique(rows, axis=0, return_counts=True)
 
 
-_STATE: tuple | None = None
-
-
-def _init_worker(graph, measure):
-    global _STATE
-    n = graph.node_count
+def _certain_adjacency(g: UncertainGraph) -> np.ndarray:
+    """Dense adjacency matrix of the probability-1 edges, shared by every world."""
+    n = g.node_count
     base = np.zeros((n, n))
-    certain = graph.certain_mask
-    u = graph.edge_u[certain]
-    v = graph.edge_v[certain]
+    u = g.edge_u[g.certain_mask]
+    v = g.edge_v[g.certain_mask]
     base[u, v] = 1.0
     base[v, u] = 1.0
-    kernel = (
-        harmonic_scores_from_adjacency
-        if measure == "harmonic"
-        else betweenness_scores_from_adjacency
-    )
-    _STATE = (graph, base, kernel)
+    return base
 
 
-def _eval_chunk(rows: np.ndarray) -> np.ndarray:
-    g, base, kernel = _STATE
+def _eval_chunk(g: UncertainGraph, base: np.ndarray, kernel, rows: np.ndarray) -> np.ndarray:
     k = g.uncertain_edge_count
     out = np.empty((len(rows), g.node_count))
     for i, row in enumerate(rows):
@@ -97,13 +88,13 @@ def _eval_chunk(rows: np.ndarray) -> np.ndarray:
 def _mc_estimate(g: UncertainGraph, cfg: McConfig, measure: str) -> np.ndarray:
     codes, counts = _sample_world_codes(g, cfg)
     chunks = [codes[i : i + _EVAL_CHUNK] for i in range(0, len(codes), _EVAL_CHUNK)]
-    values = _parallel.run_ordered(
-        _eval_chunk,
-        chunks,
-        cfg.workers,
-        initializer=_init_worker,
-        initargs=(g, measure),
+    kernel = (
+        harmonic_scores_from_adjacency
+        if measure == "harmonic"
+        else betweenness_scores_from_adjacency
     )
+    fn = functools.partial(_eval_chunk, g, _certain_adjacency(g), kernel)
+    values = _parallel.run_ordered(fn, chunks, cfg.workers)
     stacked = np.concatenate(values, axis=0)
     return counts.astype(np.float64) @ stacked / cfg.samples
 

@@ -20,9 +20,9 @@ worker count.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -33,42 +33,23 @@ from .graph_model import UncertainGraph
 from .possible_worlds import DistanceDistribution
 
 
-class MinEdgeTag(NamedTuple):
-    """Minimal-probability edge remembered per node during the forward sweep.
-
-    ``prob`` is inf and ``edge`` None on the source (nothing traversed yet).
-    ``depth`` is the BFS depth of the edge's deeper endpoint.
-    """
-
-    edge: tuple[int, int] | None
-    prob: float
-    depth: int
+# Minimal-probability edge remembered per node during the forward sweep, as a
+# plain (edge, prob, depth) tuple: the sweep builds one per traversed edge, and
+# a NamedTuple there makes the whole PSP run markedly slower. depth is the BFS
+# depth of the edge's deeper endpoint; the source holds (None, inf, 0).
+_NO_TAG = (None, math.inf, 0)
 
 
-_NO_TAG = MinEdgeTag(None, math.inf, 0)
-
-
-class PathRecord(NamedTuple):
-    """One explored shortest path: hop length, product of its edge
-    probabilities, and (betweenness only) the nodes strictly between the
-    endpoints."""
-
-    length: int
-    abs_prob: float
-    inner_nodes: tuple[int, ...] | None
-
-
-@dataclass(eq=False)
-class ExplorationRound:
+class ExplorationRound(NamedTuple):
     """Result of one all-shortest-paths sweep for a pair.
 
-    ``path_probs`` holds plain floats for the harmonic variant and
-    PathRecords for the betweenness variant; all paths share ``length``.
-    ``min_edges`` are the edges to delete before the next round.
+    ``path_probs`` holds the existence probability of every shortest path;
+    all paths share ``length``. ``min_edges`` are the edges to delete before
+    the next round.
     """
 
     length: int | float
-    path_probs: list
+    path_probs: list[float]
     min_edges: list[tuple[int, int]]
 
 
@@ -99,29 +80,31 @@ def _forward_bfs(g: UncertainGraph, s: int, t: int, deleted):
         if t_dist >= 0 and d_curr >= t_dist:
             break
         ctag = tags[curr]
+        cprob = ctag[1]
+        d_next = d_curr + 1
         for child, p, ekey in adj[curr]:
             if ekey in deleted:
                 continue
             d_child = dist[child]
             if d_child < 0:
-                d_new = d_curr + 1
-                dist[child] = d_new
+                dist[child] = d_next
                 preds[child] = [(curr, p)]
                 queue.append(child)
-                if ctag.prob >= p:
-                    tags[child] = MinEdgeTag(ekey, p, d_new)
+                if cprob >= p:
+                    tags[child] = (ekey, p, d_next)
                 else:
                     tags[child] = ctag
                 if child == t:
-                    t_dist = d_new
-            elif d_child == d_curr + 1:
+                    t_dist = d_next
+            elif d_child == d_next:
                 preds[child].append((curr, p))
                 chtag = tags[child]
-                if min(chtag.prob, ctag.prob) >= p:
-                    tags[child] = MinEdgeTag(ekey, p, d_child)
-                elif chtag.prob > ctag.prob:
+                chprob = chtag[1]
+                if chprob >= p and cprob >= p:
+                    tags[child] = (ekey, p, d_child)
+                elif chprob > cprob:
                     tags[child] = ctag
-                elif ctag.prob == chtag.prob and ctag.depth > chtag.depth:
+                elif cprob == chprob and ctag[2] > chtag[2]:
                     tags[child] = ctag
     return dist, preds, tags
 
@@ -146,13 +129,13 @@ def retrieve_min_edges(g: UncertainGraph, t: int, dist, tags, deleted=frozenset(
             continue
         if dist[child] == d_t - 1:
             visited[child] = True
-            if p <= tags[child].prob:
+            if p <= tags[child][1]:
                 out.append(ekey)
             else:
                 queue.append(child)
     while queue:
         curr = queue.popleft()
-        tag_edge = tags[curr].edge
+        tag_edge = tags[curr][0]
         d_down = dist[curr] - 1
         for child, p, ekey in g.adj[curr]:
             if ekey in deleted:
@@ -197,11 +180,7 @@ def _paths_with_inner(preds, s: int, t: int):
 
 
 def all_shortest_paths_round(
-    g: UncertainGraph,
-    s: int,
-    t: int,
-    deleted=frozenset(),
-    variant: str = "harmonic",
+    g: UncertainGraph, s: int, t: int, deleted=frozenset()
 ) -> ExplorationRound:
     """One exploration round: all shortest s-t paths avoiding deleted edges.
 
@@ -209,21 +188,28 @@ def all_shortest_paths_round(
     """
     if s == t:
         raise ValueError("s and t must be distinct")
-    if variant not in ("harmonic", "betweenness"):
-        raise ValueError(f"unknown variant {variant!r}")
     dist, preds, tags = _forward_bfs(g, s, t, deleted)
     if dist[t] < 0:
-        return ExplorationRound(length=math.inf, path_probs=[], min_edges=[])
+        return ExplorationRound(math.inf, [], [])
     min_edges = retrieve_min_edges(g, t, dist, tags, deleted)
-    length = dist[t]
-    if variant == "harmonic":
-        records = _path_probs(preds, s, t)
-    else:
-        records = [
-            PathRecord(length, prob, inner)
-            for prob, inner in _paths_with_inner(preds, s, t)
-        ]
-    return ExplorationRound(length=length, path_probs=records, min_edges=min_edges)
+    return ExplorationRound(dist[t], _path_probs(preds, s, t), min_edges)
+
+
+def _rounds(g: UncertainGraph, s: int, t: int, done):
+    """Drive the exploration rounds of one pair; yield (length, preds) per round.
+
+    ``done()`` is checked before every round, so the caller's phi test sees
+    the paths of the previous round. After the caller has consumed a round,
+    one minimal edge per shortest path is deleted. Stops when t becomes
+    unreachable. A caller that stops early (capping rule) skips the deletion.
+    """
+    deleted = set()
+    while not done():
+        dist, preds, tags = _forward_bfs(g, s, t, deleted)
+        if dist[t] < 0:
+            return
+        yield dist[t], preds
+        deleted.update(retrieve_min_edges(g, t, dist, tags, deleted))
 
 
 def _iter_round_masses(g: UncertainGraph, s: int, t: int, phi: float):
@@ -235,25 +221,18 @@ def _iter_round_masses(g: UncertainGraph, s: int, t: int, phi: float):
     and exploration stops (capping rule); the caller treats 1 minus the
     yielded total as the disconnection mass.
     """
-    deleted = set()
     remaining = 1.0  # product of (1 - Pr(path)) over every found path
     total = 0.0
-    phi_st = 0.0
-    while phi_st < phi:
-        dist, preds, tags = _forward_bfs(g, s, t, deleted)
-        if dist[t] < 0:
-            return
+    for length, preds in _rounds(g, s, t, lambda: 1.0 - remaining >= phi):
         probs = _path_probs(preds, s, t)
         new_mass = remaining * sum(probs)
         if total + new_mass >= 1.0:
-            yield dist[t], 1.0 - total
+            yield length, 1.0 - total
             return
-        yield dist[t], new_mass
+        yield length, new_mass
         total += new_mass
         for p in probs:
             remaining *= 1.0 - p
-        phi_st = 1.0 - remaining
-        deleted.update(retrieve_min_edges(g, t, dist, tags, deleted))
 
 
 def psp_distance_distribution(
@@ -296,17 +275,7 @@ def _pair_gamma_delta(g, s, t, phi):
     return gamma, delta
 
 
-# Worker-process state for the all-nodes drivers (set by the initializer).
-_STATE: tuple | None = None
-
-
-def _init_worker(graph, phi):
-    global _STATE
-    _STATE = (graph, phi)
-
-
-def _harmonic_source_task(s: int) -> np.ndarray:
-    g, phi = _STATE
+def _harmonic_source_task(g: UncertainGraph, phi: float, s: int) -> np.ndarray:
     n = g.node_count
     partial = np.zeros(n)
     for t in range(s + 1, n):
@@ -329,11 +298,7 @@ def psp_harmonic_all(g: UncertainGraph, phi: float, workers: int = 1) -> Central
     if not 0.0 <= phi <= 1.0:
         raise ValueError("phi must lie in [0, 1]")
     partials = _parallel.run_ordered(
-        _harmonic_source_task,
-        range(g.node_count - 1),
-        workers,
-        initializer=_init_worker,
-        initargs=(g, phi),
+        functools.partial(_harmonic_source_task, g, phi), range(g.node_count - 1), workers
     )
     scores = np.zeros(g.node_count)
     for part in partials:
@@ -342,8 +307,7 @@ def psp_harmonic_all(g: UncertainGraph, phi: float, workers: int = 1) -> Central
     return CentralityVector(scores, method="psp-harmonic", params={"phi": phi})
 
 
-def _betweenness_source_task(s: int) -> np.ndarray:
-    g, phi = _STATE
+def _betweenness_source_task(g: UncertainGraph, phi: float, s: int) -> np.ndarray:
     n = g.node_count
     partial = np.zeros(n)
     buf = np.zeros(n)
@@ -351,15 +315,9 @@ def _betweenness_source_task(s: int) -> np.ndarray:
         touched = []
         sigma = 0.0
         remaining = 1.0
-        phi_st = 0.0
-        deleted = set()
-        while phi_st < phi:
-            dist, preds, tags = _forward_bfs(g, s, t, deleted)
-            if dist[t] < 0:
-                break
-            paths = _paths_with_inner(preds, s, t)
+        for _, preds in _rounds(g, s, t, lambda: 1.0 - remaining >= phi):
             after = remaining
-            for prob, inner in paths:
+            for prob, inner in _paths_with_inner(preds, s, t):
                 rel = prob * remaining
                 sigma += rel
                 after *= 1.0 - prob
@@ -368,8 +326,7 @@ def _betweenness_source_task(s: int) -> np.ndarray:
                         touched.append(v)
                     buf[v] += rel
             remaining = after
-            phi_st = 1.0 - remaining
-            deleted.update(retrieve_min_edges(g, t, dist, tags, deleted))
+        phi_st = 1.0 - remaining
         if sigma > 0.0:
             for v in touched:
                 partial[v] += buf[v] / sigma * phi_st
@@ -391,11 +348,7 @@ def psp_betweenness_all(g: UncertainGraph, phi: float, workers: int = 1) -> Cent
     if not 0.0 <= phi <= 1.0:
         raise ValueError("phi must lie in [0, 1]")
     partials = _parallel.run_ordered(
-        _betweenness_source_task,
-        range(g.node_count - 1),
-        workers,
-        initializer=_init_worker,
-        initargs=(g, phi),
+        functools.partial(_betweenness_source_task, g, phi), range(g.node_count - 1), workers
     )
     n = g.node_count
     scores = np.zeros(n)

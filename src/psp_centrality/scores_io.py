@@ -8,6 +8,8 @@ floats and identical runs produce byte-identical files.
 
 from __future__ import annotations
 
+import ast
+
 import numpy as np
 
 from .deterministic import CentralityVector
@@ -25,12 +27,18 @@ def write_scores(path, vec: CentralityVector) -> None:
 
 
 def read_scores(path) -> CentralityVector:
+    """Parse a score file written by write_scores.
+
+    Raises ValueError when node ids are duplicated or leave a gap, when their
+    count disagrees with the ``# nodes`` header, or when a line is malformed.
+    """
     method = ""
     params: dict = {}
     seed = None
+    header_nodes = None
     entries = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
                 continue
@@ -43,13 +51,29 @@ def read_scores(path) -> CentralityVector:
                     method = rest[0]
                 elif key == "seed" and rest:
                     seed = None if rest[0] == "none" else int(rest[0])
+                elif key == "nodes" and rest:
+                    header_nodes = int(rest[0])
                 elif key == "params":
                     for item in rest:
                         if "=" in item:
                             k, v = item.split("=", 1)
-                            params[k] = v
+                            try:
+                                params[k] = ast.literal_eval(v)
+                            except (ValueError, SyntaxError):
+                                raise ValueError(
+                                    f"{path}: line {lineno}: bad parameter value {item!r}"
+                                ) from None
                 continue
             node_str, score_str = line.split()
-            entries[int(node_str)] = float(score_str)
-    scores = np.array([entries[i] for i in range(len(entries))])
+            node = int(node_str)
+            if node in entries:
+                raise ValueError(f"{path}: line {lineno}: duplicate node id {node}")
+            entries[node] = float(score_str)
+    count = len(entries)
+    if header_nodes is not None and header_nodes != count:
+        raise ValueError(f"{path}: header declares {header_nodes} nodes, file has {count}")
+    missing = [i for i in range(count) if i not in entries]
+    if missing:
+        raise ValueError(f"{path}: node ids are not 0..{count - 1}: id {missing[0]} is missing")
+    scores = np.array([entries[i] for i in range(count)])
     return CentralityVector(scores, method=method, params=params, seed=seed)

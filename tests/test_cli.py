@@ -83,6 +83,7 @@ def test_compare_same_file(tmp_path, capsys):
     assert run("psp-harmonic", graph_path, "-o", scores, "--workers", "1") == 0
     assert run("compare", scores, scores) == 0
     report = json.loads(capsys.readouterr().out)
+    assert report["method_a"]["phi"] == 0.8  # a number, as written, not the string "0.8"
     assert report["mae"] == 0.0
     assert report["scc"] == pytest.approx(1.0, abs=1e-12)
 
@@ -137,15 +138,38 @@ def test_reproduce_sweep_smoke(tmp_path):
 
 def test_reproduce_sweep_rerun_identical(tmp_path):
     args = ["reproduce", "random-graph-sweep", "--graphs-per-cell", 1, "--n", 60,
-            "--samples", 100, "--phi-grid", "0.8", "--seed", 4, "--jobs", 1]
+            "--samples", 100, "--phi-grid", "0.8", "--seed", 4]
     d1, d2 = tmp_path / "s1", tmp_path / "s2"
-    assert run(*args, "--out-dir", d1) == 0
-    assert run(*args, "--out-dir", d2) == 0
+    assert run(*args, "--jobs", 1, "--out-dir", d1) == 0
+    assert run(*args, "--jobs", 2, "--out-dir", d2) == 0
     strip = lambda p: "\n".join(
         ",".join(col for i, col in enumerate(line.split(",")) if i not in (9, 10))
         for line in (p / "sweep.csv").read_text().splitlines()
     )
     assert strip(d1) == strip(d2)  # identical apart from runtime columns
+
+
+def assert_one_line_error(capsys, fragment):
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert fragment in lines[0]
+
+
+def test_negative_node_count_header_is_a_one_line_error(tmp_path, capsys):
+    graph_path = tmp_path / "neg.el"
+    graph_path.write_text("# nodes -3\n")
+    code = run("psp-harmonic", graph_path, "-o", tmp_path / "h.scores", "--workers", "1")
+    assert code == 1
+    assert_one_line_error(capsys, "line 1: negative node count")
+
+
+def test_compare_gap_in_node_ids_is_a_one_line_error(tmp_path, capsys):
+    a = tmp_path / "a.scores"
+    a.write_text("# method x\n0 0.5\n2 0.25\n")
+    assert run("compare", a, a) == 1
+    assert_one_line_error(capsys, "id 1 is missing")
 
 
 def test_scores_io_roundtrip(tmp_path):
@@ -156,4 +180,21 @@ def test_scores_io_roundtrip(tmp_path):
     back = read_scores(path)
     assert np.array_equal(back.scores, vec.scores)
     assert back.method == "psp-harmonic"
+    assert back.params == {"phi": 0.8}
     assert back.seed is None
+
+
+@pytest.mark.parametrize(
+    "body,fragment",
+    [
+        ("0 0.5\n2 0.25\n", "id 1 is missing"),
+        ("0 0.5\n1 0.25\n1 0.75\n", "line 4: duplicate node id 1"),
+        ("# nodes 3\n0 0.5\n1 0.25\n", "header declares 3 nodes, file has 2"),
+        ("# params phi=0.8)\n0 0.5\n", "bad parameter value"),
+    ],
+)
+def test_read_scores_rejects_malformed_files(tmp_path, body, fragment):
+    path = tmp_path / "bad.scores"
+    path.write_text("# method x\n" + body)
+    with pytest.raises(ValueError, match=fragment):
+        read_scores(path)

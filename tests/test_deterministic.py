@@ -8,6 +8,10 @@ from psp_centrality import (
     bfs_distances,
     harmonic_closeness,
 )
+from psp_centrality.deterministic import (
+    betweenness_scores_from_adjacency,
+    harmonic_scores_from_adjacency,
+)
 
 from conftest import full_world, random_deterministic_graph, star_graph
 
@@ -117,3 +121,66 @@ def test_centralities_within_unit_interval():
         b = betweenness_brandes(w).scores
         assert np.all((0.0 <= h) & (h <= 1.0))
         assert np.all((0.0 <= b) & (b <= 1.0))
+
+
+def _full_matrix_harmonic(a):
+    """Reference: float64 reach products over the whole matrix."""
+    n = a.shape[0]
+    visited = np.eye(n, dtype=bool)
+    frontier = np.eye(n)
+    acc = np.zeros(n)
+    d = 0
+    while True:
+        nxt = (frontier @ a > 0.0) & ~visited
+        if not nxt.any():
+            return acc / (n - 1)
+        d += 1
+        acc += nxt.sum(axis=0) / d
+        visited |= nxt
+        frontier = nxt.astype(np.float64)
+
+
+def _full_matrix_betweenness(a):
+    """Reference: dependency recursion on whole n x n matrices at every level."""
+    n = a.shape[0]
+    visited = np.eye(n, dtype=bool)
+    sigma, sigma_front = np.eye(n), np.eye(n)
+    levels, sigma_levels = [], []
+    while True:
+        flow = sigma_front @ a
+        nxt = (flow > 0.0) & ~visited
+        if not nxt.any():
+            break
+        sigma_front = flow * nxt
+        sigma += sigma_front
+        visited |= nxt
+        levels.append(nxt)
+        sigma_levels.append(sigma_front)
+    delta = np.zeros((n, n))
+    for i in range(len(levels) - 1, 0, -1):
+        coef = np.divide(1.0 + delta, sigma, out=np.zeros((n, n)), where=levels[i])
+        delta += (coef @ a) * levels[i - 1] * sigma_levels[i - 1]
+    return delta.sum(axis=0) / ((n - 1) * (n - 2))
+
+
+def test_kernels_equal_full_matrix_reference_bit_for_bit():
+    # The kernels trim work (float32 0/1 reach counts, level-only backward
+    # updates) without changing any rounding, so MC scores stay byte-identical.
+    rng = np.random.default_rng(99)
+    for edge_prob in (0.015, 0.03, 0.06, 0.2):
+        for _ in range(10):
+            g = random_deterministic_graph(rng, n=100, edge_prob=edge_prob)
+            a = full_world(g).adjacency_matrix()
+            assert np.array_equal(harmonic_scores_from_adjacency(a), _full_matrix_harmonic(a))
+            assert np.array_equal(betweenness_scores_from_adjacency(a), _full_matrix_betweenness(a))
+    # 16 stages of three parallel two-hop paths: 3**16 shortest end-to-end
+    # paths, an odd count past 2**24 that float32 cannot hold, so the forward
+    # sweep must switch to float64.
+    k = 16
+    edges = []
+    for i in range(k):
+        hub = 4 * i
+        for mid in (hub + 1, hub + 2, hub + 3):
+            edges += [(hub, mid), (mid, hub + 4)]
+    a = full_world(UncertainGraph(4 * k + 1, edges, [1.0] * len(edges))).adjacency_matrix()
+    assert np.array_equal(betweenness_scores_from_adjacency(a), _full_matrix_betweenness(a))

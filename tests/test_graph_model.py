@@ -52,6 +52,7 @@ def test_load_worked_example(tmp_path, parallel_graph):
         ("0 1 0.4\n1 0 0.5\n", "duplicate"),
         ("-1 2 0.4\n", "negative"),
         ("# nodes 2\n0 5 0.4\n", "exceeds"),
+        ("# nodes -3\n", "line 1: negative node count"),
     ],
 )
 def test_load_errors(tmp_path, text, fragment):

@@ -14,7 +14,8 @@ from psp_centrality import (
     psp_harmonic_all,
     retrieve_min_edges,
 )
-from psp_centrality.psp import _forward_bfs
+from psp_centrality import psp
+from psp_centrality.psp import _forward_bfs, _paths_with_inner
 
 from conftest import full_world, random_deterministic_graph, random_uncertain_graph, star_graph
 
@@ -51,19 +52,49 @@ def test_round_unreachable():
     assert rnd.path_probs == [] and rnd.min_edges == []
 
 
-def test_round_betweenness_variant_carries_inner_nodes(detour):
-    rnd = all_shortest_paths_round(detour, 0, 3, variant="betweenness")
-    inner = {rec.inner_nodes for rec in rnd.path_probs}
-    assert inner == {(1,), (2,)}
-    assert all(rec.length == 2 for rec in rnd.path_probs)
-    assert {round(rec.abs_prob, 10) for rec in rnd.path_probs} == {0.6, 0.35}
+def test_paths_with_inner_carries_inner_nodes(detour):
+    _, preds, _ = _forward_bfs(detour, 0, 3, frozenset())
+    paths = _paths_with_inner(preds, 0, 3)
+    assert {inner for _, inner in paths} == {(1,), (2,)}
+    assert {round(prob, 10) for prob, _ in paths} == {0.6, 0.35}
 
 
 def test_round_rejects_equal_endpoints(detour):
     with pytest.raises(ValueError):
         all_shortest_paths_round(detour, 1, 1)
-    with pytest.raises(ValueError):
-        all_shortest_paths_round(detour, 0, 3, variant="bogus")
+
+
+def test_round_loop_exact_work(detour, monkeypatch):
+    # The round loop must look both helpers up by module name at call time:
+    # patching the module attributes is how the work gets counted.
+    bfs_deleted = []
+    min_edge_calls = []
+    real_bfs, real_min_edges = psp._forward_bfs, psp.retrieve_min_edges
+
+    def counting_bfs(g, s, t, deleted):
+        bfs_deleted.append(set(deleted))
+        return real_bfs(g, s, t, deleted)
+
+    def counting_min_edges(*args):
+        min_edge_calls.append(args)
+        return real_min_edges(*args)
+
+    monkeypatch.setattr(psp, "_forward_bfs", counting_bfs)
+    monkeypatch.setattr(psp, "retrieve_min_edges", counting_min_edges)
+
+    # Round one (length 2) leaves phi_st = 0.74 < 0.8; round two (length 3)
+    # trips the cap, so its minimal edges are never retrieved.
+    d = psp_distance_distribution(detour, 0, 3, 0.8)
+    assert len(bfs_deleted) == 2 and len(min_edge_calls) == 1
+    assert bfs_deleted == [set(), {(0, 2), (1, 3)}]
+    assert d.mass[3] == pytest.approx(0.05, abs=1e-12) and d.mass_inf == 0.0
+
+    bfs_deleted.clear()
+    min_edge_calls.clear()
+    psp_distance_distribution(detour, 0, 3, 0.0)
+    psp_harmonic_all(detour, 0.0)
+    psp_betweenness_all(detour, 0.0)
+    assert bfs_deleted == [] and min_edge_calls == []
 
 
 def test_min_edge_closest_to_target_when_last_edge_minimal():
