@@ -154,8 +154,21 @@ def run_experiment(
     {"method": "psp-harmonic", "phi": 0.8} or {"method": "mc-harmonic",
     "samples": 10000, "seed": 7}.
     """
-    vec_a, desc_a, ms_a = _run_timed(g, heuristic)
-    vec_b, desc_b, ms_b = _run_timed(g, baseline)
+    return _report(
+        measure,
+        _run_timed(g, heuristic),
+        _run_timed(g, baseline),
+        graph_id=graph_id,
+        model=model,
+        prob_dist=prob_dist,
+        seed=seed,
+    )
+
+
+def _report(measure: str, timed_a, timed_b, **labels) -> ExperimentReport:
+    """Compare two ``_run_timed`` results with MAE and SCC."""
+    vec_a, desc_a, ms_a = timed_a
+    vec_b, desc_b, ms_b = timed_b
     return ExperimentReport(
         measure=measure,
         method_a=desc_a,
@@ -164,10 +177,7 @@ def run_experiment(
         scc=scc(vec_a, vec_b),
         runtime_a_ms=ms_a,
         runtime_b_ms=ms_b,
-        graph_id=graph_id,
-        model=model,
-        prob_dist=prob_dist,
-        seed=seed,
+        **labels,
     )
 
 

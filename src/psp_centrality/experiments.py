@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _parallel
-from .evaluation import CSV_COLUMNS, ExperimentReport, run_experiment
+from .evaluation import CSV_COLUMNS, ExperimentReport, _report, _run_timed
 from .generators import GenSpec, generate
 from .graph_model import UncertainGraph
 from .possible_worlds import distance_er, exact_distance_distribution
@@ -101,23 +101,16 @@ def _sweep_cell(cfg: SweepSettings, task) -> list[ExperimentReport]:
     graph_seed, mc_seed = _cell_seeds(cfg.seed, model_i, dist_i, graph_i)
     g = generate(_model_spec(model, dist, cfg.n, graph_seed))
     graph_id = f"{model}-{dist}-{graph_i:02d}"
+    labels = {"graph_id": graph_id, "model": model, "prob_dist": dist, "seed": mc_seed}
     reports = []
     for measure in ("betweenness", "harmonic"):
-        baseline = {"method": f"mc-{measure}", "samples": cfg.samples, "seed": mc_seed}
+        # One MC baseline per (graph, measure): every phi row compares against
+        # it and repeats its single measured runtime.
+        mc_spec = {"method": f"mc-{measure}", "samples": cfg.samples, "seed": mc_seed}
+        baseline = _run_timed(g, mc_spec)
         for phi in cfg.phi_grid:
-            heuristic = {"method": f"psp-{measure}", "phi": phi}
-            reports.append(
-                run_experiment(
-                    g,
-                    measure,
-                    heuristic,
-                    baseline,
-                    graph_id=graph_id,
-                    model=model,
-                    prob_dist=dist,
-                    seed=mc_seed,
-                )
-            )
+            heuristic = _run_timed(g, {"method": f"psp-{measure}", "phi": phi})
+            reports.append(_report(measure, heuristic, baseline, **labels))
     return reports
 
 

@@ -53,7 +53,7 @@ class ExplorationRound(NamedTuple):
     min_edges: list[tuple[int, int]]
 
 
-def _forward_bfs(g: UncertainGraph, s: int, t: int, deleted):
+def _forward_bfs(g: UncertainGraph, s: int, t: int, deleted, *, hops_to_t=None, bound=0):
     """Level BFS from s over non-deleted edges, recording predecessors and
     minimal-edge tags.
 
@@ -63,50 +63,97 @@ def _forward_bfs(g: UncertainGraph, s: int, t: int, deleted):
     and on equal probabilities the deeper tag wins.
 
     Stops when the first node at t's level is dequeued; everything at levels
-    below t is complete by then. Returns (dist, preds, tags) where dist is -1
-    for unreached nodes and preds[v] lists (parent, edge probability) pairs.
+    below t is complete by then. With ``t == s`` nothing stops the sweep and
+    it covers s's whole component. Returns (dist, preds, tags) where dist is
+    -1 for unreached nodes and preds[v] lists (parent, edge probability)
+    pairs.
+
+    With ``hops_to_t`` (hop distance to t in the graph without deletions) a
+    node found at level d is enqueued only when d + hops_to_t[node] <= bound.
+    If t is not reached, the bound grows to the smallest rejected value and
+    the sweep reruns; if nothing was rejected, t is unreachable. Deletions
+    only lengthen paths, so a node on a shortest s-t path passes whenever
+    bound >= that length, and so does every shortest-path predecessor of a
+    node that passes (hops change by at most 1 per edge). The admitted nodes
+    are thus found at their true levels and in the unbounded queue order, so
+    dist, preds and tags agree with the unbounded sweep on every node of the
+    shortest-path DAG, which is all that path enumeration and
+    ``retrieve_min_edges`` read.
     """
     n = g.node_count
-    dist = [-1] * n
-    dist[s] = 0
-    preds: list = [None] * n
-    tags = [_NO_TAG] * n
     adj = g.adj
-    queue = deque([s])
-    t_dist = -1
-    while queue:
-        curr = queue.popleft()
-        d_curr = dist[curr]
-        if t_dist >= 0 and d_curr >= t_dist:
-            break
-        ctag = tags[curr]
-        cprob = ctag[1]
-        d_next = d_curr + 1
-        for child, p, ekey in adj[curr]:
-            if ekey in deleted:
-                continue
-            d_child = dist[child]
-            if d_child < 0:
-                dist[child] = d_next
-                preds[child] = [(curr, p)]
-                queue.append(child)
-                if cprob >= p:
-                    tags[child] = (ekey, p, d_next)
-                else:
-                    tags[child] = ctag
-                if child == t:
-                    t_dist = d_next
-            elif d_child == d_next:
-                preds[child].append((curr, p))
-                chtag = tags[child]
-                chprob = chtag[1]
-                if chprob >= p and cprob >= p:
-                    tags[child] = (ekey, p, d_child)
-                elif chprob > cprob:
-                    tags[child] = ctag
-                elif cprob == chprob and ctag[2] > chtag[2]:
-                    tags[child] = ctag
-    return dist, preds, tags
+    while True:
+        dist = [-1] * n
+        dist[s] = 0
+        preds: list = [None] * n
+        tags = [_NO_TAG] * n
+        queue = deque([s])
+        t_dist = -1
+        rejected = math.inf  # smallest level + hops over the rejected nodes
+        while queue:
+            curr = queue.popleft()
+            d_curr = dist[curr]
+            if t_dist >= 0 and d_curr >= t_dist:
+                break
+            ctag = tags[curr]
+            cprob = ctag[1]
+            d_next = d_curr + 1
+            for child, p, ekey in adj[curr]:
+                if ekey in deleted:
+                    continue
+                d_child = dist[child]
+                if d_child < 0:
+                    if hops_to_t is not None:
+                        f = d_next + hops_to_t[child]
+                        if f > bound:
+                            if f < rejected:
+                                rejected = f
+                            continue
+                    dist[child] = d_next
+                    preds[child] = [(curr, p)]
+                    queue.append(child)
+                    if cprob >= p:
+                        tags[child] = (ekey, p, d_next)
+                    else:
+                        tags[child] = ctag
+                    if child == t:
+                        t_dist = d_next
+                elif d_child == d_next:
+                    preds[child].append((curr, p))
+                    chtag = tags[child]
+                    chprob = chtag[1]
+                    if chprob >= p and cprob >= p:
+                        tags[child] = (ekey, p, d_child)
+                    elif chprob > cprob:
+                        tags[child] = ctag
+                    elif cprob == chprob and ctag[2] > chtag[2]:
+                        tags[child] = ctag
+        if t_dist >= 0 or rejected == math.inf:
+            return dist, preds, tags
+        bound = rejected
+
+
+def _hop_table(g: UncertainGraph) -> list[list[int]]:
+    """Hop distance between every two nodes, ignoring probabilities.
+
+    Row t holds each node's distance to t (-1 outside t's component); it is
+    the lower bound that ``_forward_bfs`` prunes later rounds with. n x n
+    small ints, built with one plain BFS per node.
+    """
+    n = g.node_count
+    table = []
+    for t in range(n):
+        row = [-1] * n
+        row[t] = 0
+        queue = deque([t])
+        while queue:
+            u = queue.popleft()
+            for v, _, _ in g.adj[u]:
+                if row[v] < 0:
+                    row[v] = row[u] + 1
+                    queue.append(v)
+        table.append(row)
+    return table
 
 
 def retrieve_min_edges(g: UncertainGraph, t: int, dist, tags, deleted=frozenset()):
@@ -195,24 +242,39 @@ def all_shortest_paths_round(
     return ExplorationRound(dist[t], _path_probs(preds, s, t), min_edges)
 
 
-def _rounds(g: UncertainGraph, s: int, t: int, done):
+def _rounds(g: UncertainGraph, s: int, t: int, done, first=None, hops_to_t=None):
     """Drive the exploration rounds of one pair; yield (length, preds) per round.
 
     ``done()`` is checked before every round, so the caller's phi test sees
     the paths of the previous round. After the caller has consumed a round,
     one minimal edge per shortest path is deleted. Stops when t becomes
     unreachable. A caller that stops early (capping rule) skips the deletion.
+
+    The all-nodes drivers pass ``first``, the (dist, preds, tags) of a full
+    BFS from s without deletions, which serves as round one, and t's row of
+    the hop table, which bounds every later round: each shortest path lost an
+    edge, so the next length is at least the last one plus 1.
     """
     deleted = set()
+    length = 0
     while not done():
-        dist, preds, tags = _forward_bfs(g, s, t, deleted)
-        if dist[t] < 0:
+        if first is not None:
+            dist, preds, tags = first
+            first = None
+        elif hops_to_t is None:
+            dist, preds, tags = _forward_bfs(g, s, t, deleted)
+        else:
+            dist, preds, tags = _forward_bfs(
+                g, s, t, deleted, hops_to_t=hops_to_t, bound=length + 1
+            )
+        length = dist[t]
+        if length < 0:
             return
-        yield dist[t], preds
+        yield length, preds
         deleted.update(retrieve_min_edges(g, t, dist, tags, deleted))
 
 
-def _iter_round_masses(g: UncertainGraph, s: int, t: int, phi: float):
+def _iter_round_masses(g: UncertainGraph, s: int, t: int, phi: float, first=None, hops_to_t=None):
     """Yield (length, probability mass) per exploration round.
 
     Per round the new mass is the product of (1 - Pr) over all previously
@@ -223,7 +285,8 @@ def _iter_round_masses(g: UncertainGraph, s: int, t: int, phi: float):
     """
     remaining = 1.0  # product of (1 - Pr(path)) over every found path
     total = 0.0
-    for length, preds in _rounds(g, s, t, lambda: 1.0 - remaining >= phi):
+    rounds = _rounds(g, s, t, lambda: 1.0 - remaining >= phi, first, hops_to_t)
+    for length, preds in rounds:
         probs = _path_probs(preds, s, t)
         new_mass = remaining * sum(probs)
         if total + new_mass >= 1.0:
@@ -261,7 +324,7 @@ def psp_distance_er(g: UncertainGraph, s: int, t: int, phi: float) -> float:
     return delta / gamma
 
 
-def _pair_gamma_delta(g, s, t, phi):
+def _pair_gamma_delta(g, s, t, phi, first=None, hops_to_t=None):
     """Finite mass (gamma) and its distance-weighted sum (delta) for a pair.
 
     The reciprocal estimated distance is gamma / delta, with 0 for gamma = 0;
@@ -269,17 +332,32 @@ def _pair_gamma_delta(g, s, t, phi):
     """
     gamma = 0.0
     delta = 0.0
-    for k, m in _iter_round_masses(g, s, t, phi):
+    for k, m in _iter_round_masses(g, s, t, phi, first, hops_to_t):
         gamma += m
         delta += k * m
     return gamma, delta
 
 
-def _harmonic_source_task(g: UncertainGraph, phi: float, s: int) -> np.ndarray:
-    n = g.node_count
-    partial = np.zeros(n)
-    for t in range(s + 1, n):
-        gamma, delta = _pair_gamma_delta(g, s, t, phi)
+def _reachable_targets(g: UncertainGraph, phi: float, hops, s: int):
+    """Yield (t, round one, t's hop row) for every target t > s that s reaches.
+
+    One BFS from s without deletions serves round one of every target; the
+    other targets never connect, so they get no BFS at all. At phi 0 no pair
+    runs a round, and nothing is yielded.
+    """
+    if phi <= 0.0:
+        return
+    first = _forward_bfs(g, s, s, frozenset())
+    dist = first[0]
+    for t in range(s + 1, g.node_count):
+        if dist[t] >= 0:
+            yield t, first, hops[t]
+
+
+def _harmonic_source_task(g: UncertainGraph, phi: float, hops, s: int) -> np.ndarray:
+    partial = np.zeros(g.node_count)
+    for t, first, hops_to_t in _reachable_targets(g, phi, hops, s):
+        gamma, delta = _pair_gamma_delta(g, s, t, phi, first, hops_to_t)
         if gamma > 0.0:
             recip = gamma / delta
             partial[s] += recip
@@ -297,8 +375,9 @@ def psp_harmonic_all(g: UncertainGraph, phi: float, workers: int = 1) -> Central
         raise ValueError("harmonic closeness needs at least 2 nodes")
     if not 0.0 <= phi <= 1.0:
         raise ValueError("phi must lie in [0, 1]")
+    hops = _hop_table(g) if phi > 0.0 else None
     partials = _parallel.run_ordered(
-        functools.partial(_harmonic_source_task, g, phi), range(g.node_count - 1), workers
+        functools.partial(_harmonic_source_task, g, phi, hops), range(g.node_count - 1), workers
     )
     scores = np.zeros(g.node_count)
     for part in partials:
@@ -307,15 +386,16 @@ def psp_harmonic_all(g: UncertainGraph, phi: float, workers: int = 1) -> Central
     return CentralityVector(scores, method="psp-harmonic", params={"phi": phi})
 
 
-def _betweenness_source_task(g: UncertainGraph, phi: float, s: int) -> np.ndarray:
+def _betweenness_source_task(g: UncertainGraph, phi: float, hops, s: int) -> np.ndarray:
     n = g.node_count
     partial = np.zeros(n)
     buf = np.zeros(n)
-    for t in range(s + 1, n):
+    for t, first, hops_to_t in _reachable_targets(g, phi, hops, s):
         touched = []
         sigma = 0.0
         remaining = 1.0
-        for _, preds in _rounds(g, s, t, lambda: 1.0 - remaining >= phi):
+        rounds = _rounds(g, s, t, lambda: 1.0 - remaining >= phi, first, hops_to_t)
+        for _, preds in rounds:
             after = remaining
             for prob, inner in _paths_with_inner(preds, s, t):
                 rel = prob * remaining
@@ -347,8 +427,9 @@ def psp_betweenness_all(g: UncertainGraph, phi: float, workers: int = 1) -> Cent
         raise ValueError("betweenness needs at least 3 nodes")
     if not 0.0 <= phi <= 1.0:
         raise ValueError("phi must lie in [0, 1]")
+    hops = _hop_table(g) if phi > 0.0 else None
     partials = _parallel.run_ordered(
-        functools.partial(_betweenness_source_task, g, phi), range(g.node_count - 1), workers
+        functools.partial(_betweenness_source_task, g, phi, hops), range(g.node_count - 1), workers
     )
     n = g.node_count
     scores = np.zeros(n)

@@ -26,6 +26,13 @@ def write_scores(path, vec: CentralityVector) -> None:
             fh.write(f"{i} {float(s)!r}\n")
 
 
+def _header_int(path, lineno: int, key: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{path}: line {lineno}: # {key} is not an integer: {text!r}") from None
+
+
 def read_scores(path) -> CentralityVector:
     """Parse a score file written by write_scores.
 
@@ -50,9 +57,9 @@ def read_scores(path) -> CentralityVector:
                 if key == "method" and rest:
                     method = rest[0]
                 elif key == "seed" and rest:
-                    seed = None if rest[0] == "none" else int(rest[0])
+                    seed = None if rest[0] == "none" else _header_int(path, lineno, key, rest[0])
                 elif key == "nodes" and rest:
-                    header_nodes = int(rest[0])
+                    header_nodes = _header_int(path, lineno, key, rest[0])
                 elif key == "params":
                     for item in rest:
                         if "=" in item:
@@ -64,11 +71,16 @@ def read_scores(path) -> CentralityVector:
                                     f"{path}: line {lineno}: bad parameter value {item!r}"
                                 ) from None
                 continue
-            node_str, score_str = line.split()
-            node = int(node_str)
+            try:
+                node_str, score_str = line.split()
+                node, score = int(node_str), float(score_str)
+            except ValueError:
+                raise ValueError(
+                    f"{path}: line {lineno}: expected '<node> <score>', got {line!r}"
+                ) from None
             if node in entries:
                 raise ValueError(f"{path}: line {lineno}: duplicate node id {node}")
-            entries[node] = float(score_str)
+            entries[node] = score
     count = len(entries)
     if header_nodes is not None and header_nodes != count:
         raise ValueError(f"{path}: header declares {header_nodes} nodes, file has {count}")

@@ -172,6 +172,21 @@ def test_compare_gap_in_node_ids_is_a_one_line_error(tmp_path, capsys):
     assert_one_line_error(capsys, "id 1 is missing")
 
 
+@pytest.mark.parametrize(
+    "body,fragment",
+    [
+        ("# nodes 2\n0 0.5 7\n1 0.25\n", "line 3: expected '<node> <score>', got '0 0.5 7'"),
+        ("# nodes two\n0 0.5\n", "line 2: # nodes is not an integer: 'two'"),
+        ("# seed 1.5\n0 0.5\n", "line 2: # seed is not an integer: '1.5'"),
+    ],
+)
+def test_compare_malformed_score_file_is_a_one_line_error(tmp_path, capsys, body, fragment):
+    bad = tmp_path / "bad.scores"
+    bad.write_text("# method x\n" + body)
+    assert run("compare", bad, bad) == 1
+    assert_one_line_error(capsys, f"{bad}: {fragment}")
+
+
 def test_scores_io_roundtrip(tmp_path):
     vec = CentralityVector(np.array([0.25, 1 / 3, 0.0]), method="psp-harmonic",
                            params={"phi": 0.8}, seed=None)

@@ -104,6 +104,34 @@ def test_run_experiment_psp_vs_oracle(detour):
     assert row[0] == "detour" and row[4] == "psp-harmonic" and row[5] == 0.8
 
 
+def test_phi_sweep_runs_one_baseline_per_graph_and_measure(monkeypatch):
+    from psp_centrality import evaluation
+    from psp_centrality.experiments import SweepSettings, phi_sweep
+
+    mc_graphs = []  # the graph of every MC baseline run, in call order
+
+    def counting(real):
+        def mc(g, cfg):
+            mc_graphs.append(g)
+            return real(g, cfg)
+        return mc
+
+    for name in ("mc_harmonic", "mc_betweenness"):
+        monkeypatch.setattr(evaluation, name, counting(getattr(evaluation, name)))
+    settings = SweepSettings(models=("ba",), dists=("uniform01",), graphs_per_cell=2, n=20,
+                             samples=50, phi_grid=(0.3, 0.6, 1.0), seed=5)
+    reports = phi_sweep(settings)
+    assert len(reports) == 2 * 2 * 3 and len(mc_graphs) == 2 * 2
+    for i in range(0, len(reports), 3):
+        rows = reports[i:i + 3]
+        assert len({(r.graph_id, r.measure, r.runtime_b_ms) for r in rows}) == 1
+        # Every row still equals its own heuristic-versus-baseline experiment.
+        g = mc_graphs[i // 3]
+        for r in rows:
+            alone = run_experiment(g, r.measure, r.method_a, r.method_b)
+            assert (alone.mae, alone.scc) == (r.mae, r.scc)
+
+
 def test_aggregate_reports(detour):
     reports = [
         run_experiment(

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -15,7 +16,7 @@ from psp_centrality import (
     retrieve_min_edges,
 )
 from psp_centrality import psp
-from psp_centrality.psp import _forward_bfs, _paths_with_inner
+from psp_centrality.psp import _forward_bfs, _path_probs, _paths_with_inner
 
 from conftest import full_world, random_deterministic_graph, random_uncertain_graph, star_graph
 
@@ -71,9 +72,9 @@ def test_round_loop_exact_work(detour, monkeypatch):
     min_edge_calls = []
     real_bfs, real_min_edges = psp._forward_bfs, psp.retrieve_min_edges
 
-    def counting_bfs(g, s, t, deleted):
+    def counting_bfs(g, s, t, deleted, **kwargs):
         bfs_deleted.append(set(deleted))
-        return real_bfs(g, s, t, deleted)
+        return real_bfs(g, s, t, deleted, **kwargs)
 
     def counting_min_edges(*args):
         min_edge_calls.append(args)
@@ -95,6 +96,159 @@ def test_round_loop_exact_work(detour, monkeypatch):
     psp_harmonic_all(detour, 0.0)
     psp_betweenness_all(detour, 0.0)
     assert bfs_deleted == [] and min_edge_calls == []
+
+
+def two_components():
+    """The detour graph (nodes 0-3) beside a triangle with a tail (nodes 4-7)."""
+    edges = [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (4, 5), (5, 6), (4, 6), (6, 7)]
+    return UncertainGraph(8, edges, [1.0, 0.5, 0.5, 0.6, 0.7, 0.4, 0.9, 0.3, 0.8])
+
+
+def test_all_nodes_drivers_exact_bfs_work(monkeypatch):
+    # One BFS without deletions per source serves round one of every target;
+    # later rounds run only for pairs that are connected.
+    g = two_components()
+    component = [0, 0, 0, 0, 1, 1, 1, 1]
+    calls = []
+    real_bfs = psp._forward_bfs
+
+    def counting_bfs(g, s, t, deleted, **kwargs):
+        calls.append((s, t, set(deleted)))
+        return real_bfs(g, s, t, deleted, **kwargs)
+
+    monkeypatch.setattr(psp, "_forward_bfs", counting_bfs)
+    for driver in (psp_harmonic_all, psp_betweenness_all):
+        calls.clear()
+        driver(g, 0.8)
+        assert [s for s, _, deleted in calls if not deleted] == list(range(g.node_count - 1))
+        later = [(s, t) for s, t, deleted in calls if deleted]
+        assert (0, 3) in later  # the detour pair needs a second round
+        assert all(component[s] == component[t] and s < t for s, t in later)
+        calls.clear()
+        driver(g, 0.0)
+        assert calls == []
+
+
+def test_forward_bfs_keeps_four_positional_arguments(detour):
+    # Tracers unpack ``g, s, t, deleted = args``; new inputs are keyword-only.
+    params = list(inspect.signature(_forward_bfs).parameters.values())
+    assert [p.name for p in params[:4]] == ["g", "s", "t", "deleted"]
+    assert all(p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD for p in params[:4])
+    assert all(p.kind is inspect.Parameter.KEYWORD_ONLY for p in params[4:])
+    dist, _, _ = _forward_bfs(detour, 0, 3, frozenset())
+    assert dist[3] == 2
+
+
+def _reference_rounds(g, s, t, done):
+    """Unbounded per-pair rounds: a full BFS for every round of every pair."""
+    deleted = set()
+    while not done():
+        dist, preds, tags = _forward_bfs(g, s, t, deleted)
+        if dist[t] < 0:
+            return
+        yield dist[t], preds
+        deleted.update(retrieve_min_edges(g, t, dist, tags, deleted))
+
+
+def _reference_harmonic(g, phi):
+    n = g.node_count
+    scores = np.zeros(n)
+    for s in range(n - 1):
+        partial = np.zeros(n)
+        for t in range(s + 1, n):
+            remaining, total, gamma, delta = 1.0, 0.0, 0.0, 0.0
+            for length, preds in _reference_rounds(g, s, t, lambda: 1.0 - remaining >= phi):
+                probs = _path_probs(preds, s, t)
+                new_mass = remaining * sum(probs)
+                if total + new_mass >= 1.0:
+                    gamma += 1.0 - total
+                    delta += length * (1.0 - total)
+                    break
+                gamma += new_mass
+                delta += length * new_mass
+                total += new_mass
+                for p in probs:
+                    remaining *= 1.0 - p
+            if gamma > 0.0:
+                partial[s] += gamma / delta
+                partial[t] += gamma / delta
+        scores += partial
+    return scores / (n - 1)
+
+
+def _reference_betweenness(g, phi):
+    n = g.node_count
+    scores = np.zeros(n)
+    for s in range(n - 1):
+        partial = np.zeros(n)
+        for t in range(s + 1, n):
+            buf = np.zeros(n)
+            sigma, remaining = 0.0, 1.0
+            for _, preds in _reference_rounds(g, s, t, lambda: 1.0 - remaining >= phi):
+                after = remaining
+                for prob, inner in _paths_with_inner(preds, s, t):
+                    rel = prob * remaining
+                    sigma += rel
+                    after *= 1.0 - prob
+                    for v in inner:
+                        buf[v] += rel
+                remaining = after
+            if sigma > 0.0:
+                touched = np.flatnonzero(buf)
+                partial[touched] += buf[touched] / sigma * (1.0 - remaining)
+        scores += partial
+    return scores * (2.0 / ((n - 1) * (n - 2)))
+
+
+def _bit_identity_graphs():
+    rng = np.random.default_rng(2024)
+    for i in range(24):
+        n = int(rng.integers(6, 16))
+        g = random_uncertain_graph(rng, n=n, edge_prob=float(rng.uniform(0.12, 0.5)))
+        kind = i % 3
+        if kind == 0:  # uniform probabilities, no certain or impossible edges
+            g = UncertainGraph(n, list(g.edges), rng.uniform(0.01, 0.99, g.edge_count))
+        elif kind == 1:  # constant 0.5: every tie rule is exercised
+            g = UncertainGraph(n, list(g.edges), [0.5] * g.edge_count)
+        yield g  # kind 2: a mix with p=1 and p=0 edges
+
+
+@pytest.mark.parametrize("phi", (0.1, 0.5, 0.8, 1.0))
+def test_bounded_rounds_match_unbounded_reference_bit_for_bit(phi):
+    # The shared first round and the hop-bounded later rounds must give the
+    # same bits as running every round of every pair as a full BFS.
+    disconnected = 0
+    for g in _bit_identity_graphs():
+        hops = psp._hop_table(g)
+        disconnected += any(-1 in row for row in hops)
+        h = psp_harmonic_all(g, phi).scores
+        b = psp_betweenness_all(g, phi).scores
+        assert h.tobytes() == _reference_harmonic(g, phi).tobytes()
+        assert b.tobytes() == _reference_betweenness(g, phi).tobytes()
+    assert disconnected >= 3
+
+
+def test_later_rounds_reach_only_nodes_within_the_bound(monkeypatch):
+    # Round two on reaches node v only when dist[v] + hops(v, t) <= dist[t]:
+    # the bound is t's new length, measured with t's own hop row.
+    checked = 0
+    real_bfs = psp._forward_bfs
+
+    def checking_bfs(g, s, t, deleted, **kwargs):
+        nonlocal checked
+        dist, preds, tags = real_bfs(g, s, t, deleted, **kwargs)
+        if deleted and dist[t] >= 0:
+            row = hops[t]
+            assert all(d + row[v] <= dist[t] for v, d in enumerate(dist) if d >= 0)
+            checked += 1
+        return dist, preds, tags
+
+    monkeypatch.setattr(psp, "_forward_bfs", checking_bfs)
+    for g in _bit_identity_graphs():
+        hops = psp._hop_table(g)
+        psp_harmonic_all(g, 1.0)
+        psp_betweenness_all(g, 1.0)
+    assert checked > 100
 
 
 def test_min_edge_closest_to_target_when_last_edge_minimal():
