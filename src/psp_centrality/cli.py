@@ -36,7 +36,10 @@ CENTRALITY_METHODS = (
 def _default_workers() -> int:
     env = os.environ.get(WORKERS_ENV)
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(f"{WORKERS_ENV} must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 
@@ -144,8 +147,6 @@ def _cmd_centrality(args) -> int:
     g = load_graph(args.graph)
     params = {}
     if args.command.startswith("psp-"):
-        if not 0.0 <= args.phi <= 1.0:
-            raise ValueError("phi must lie in [0, 1]")
         params = {"phi": args.phi, "workers": args.workers or _default_workers()}
     elif args.command.startswith("mc-"):
         params = {

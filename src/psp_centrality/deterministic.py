@@ -44,22 +44,48 @@ def as_scores(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
 
-def bfs_distances(w: PossibleWorld, source: int) -> DistanceVector:
-    """Breadth-first distances from ``source`` in the world w."""
-    n = w.parent.node_count
-    if not 0 <= source < n:
-        raise ValueError(f"source {source} outside node range")
-    adj = w.neighbor_lists()
-    dist = np.full(n, np.inf)
-    dist[source] = 0.0
+_MIN_NODES = {"harmonic": ("harmonic closeness", 2), "betweenness": ("betweenness", 3)}
+
+
+def require_nodes(measure: str, n: int) -> None:
+    """Raise ValueError unless ``measure`` is known and defined on n nodes."""
+    if measure not in _MIN_NODES:
+        raise ValueError(f"unknown measure {measure!r}")
+    name, least = _MIN_NODES[measure]
+    if n < least:
+        raise ValueError(f"{name} needs at least {least} nodes")
+
+
+def require_pair(n: int, s: int, t: int) -> None:
+    """Raise ValueError unless s and t are distinct integer node ids in 0..n-1."""
+    for node in (s, t):
+        if not isinstance(node, (int, np.integer)) or not 0 <= node < n:
+            raise ValueError(f"node id {node!r} is not an integer in 0..{n - 1}")
+    if s == t:
+        raise ValueError("s and t must be distinct")
+
+
+def hop_distances(adj, source: int) -> list[int]:
+    """Breadth-first hop distance from ``source`` over neighbour lists; -1 = unreachable."""
+    dist = [-1] * len(adj)
+    dist[source] = 0
     queue = deque([source])
     while queue:
         u = queue.popleft()
-        nd = dist[u] + 1.0
+        d = dist[u] + 1
         for v in adj[u]:
-            if dist[v] == np.inf:
-                dist[v] = nd
+            if dist[v] < 0:
+                dist[v] = d
                 queue.append(v)
+    return dist
+
+
+def bfs_distances(w: PossibleWorld, source: int) -> DistanceVector:
+    """Breadth-first distances from ``source`` in the world w."""
+    if not 0 <= source < w.parent.node_count:
+        raise ValueError(f"source {source} outside node range")
+    dist = np.array(hop_distances(w.neighbor_lists(), source), dtype=np.float64)
+    dist[dist < 0.0] = np.inf
     return DistanceVector(source=source, dist=dist)
 
 
@@ -144,16 +170,14 @@ def betweenness_scores_from_adjacency(a: np.ndarray) -> np.ndarray:
 
 def harmonic_closeness(w: PossibleWorld) -> CentralityVector:
     """Normalized harmonic closeness; 1/inf counts as 0 for unreachable pairs."""
-    if w.parent.node_count < 2:
-        raise ValueError("harmonic closeness needs at least 2 nodes")
+    require_nodes("harmonic", w.parent.node_count)
     scores = harmonic_scores_from_adjacency(w.adjacency_matrix())
     return CentralityVector(scores, method="harmonic", params={})
 
 
 def betweenness_brandes(w: PossibleWorld) -> CentralityVector:
     """Normalized betweenness centrality (dependency-accumulation algorithm)."""
-    if w.parent.node_count < 3:
-        raise ValueError("betweenness needs at least 3 nodes")
+    require_nodes("betweenness", w.parent.node_count)
     scores = betweenness_scores_from_adjacency(w.adjacency_matrix())
     return CentralityVector(scores, method="betweenness", params={})
 
@@ -198,8 +222,7 @@ def betweenness_naive(w: PossibleWorld) -> CentralityVector:
     graphs, not for production use.
     """
     n = w.parent.node_count
-    if n < 3:
-        raise ValueError("betweenness needs at least 3 nodes")
+    require_nodes("betweenness", n)
     adj = w.neighbor_lists()
     totals = np.zeros(n)
     for s in range(n - 1):

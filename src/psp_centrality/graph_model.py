@@ -115,6 +115,25 @@ class UncertainGraph:
         mask[self.uncertain_idx] = uncertain_included
         return mask
 
+    def neighbor_lists(self, mask) -> list[list[int]]:
+        """Neighbours of every node over the edges that ``mask`` flags present."""
+        adj = [[] for _ in range(self.node_count)]
+        for i in np.flatnonzero(mask):
+            u, v = self.edges[i]
+            adj[u].append(v)
+            adj[v].append(u)
+        return adj
+
+    def adjacency_matrix(self, mask) -> np.ndarray:
+        """Dense symmetric 0/1 adjacency matrix of the edges ``mask`` flags present."""
+        n = self.node_count
+        a = np.zeros((n, n))
+        u = self.edge_u[mask]
+        v = self.edge_v[mask]
+        a[u, v] = 1.0
+        a[v, u] = 1.0
+        return a
+
     def __eq__(self, other):
         if not isinstance(other, UncertainGraph):
             return NotImplemented
@@ -168,27 +187,12 @@ class PossibleWorld:
             mask[index[e]] = True
         return cls(parent, mask)
 
-    @property
-    def present_edges(self) -> frozenset[tuple[int, int]]:
-        return frozenset(e for e, keep in zip(self.parent.edges, self.mask) if keep)
-
     def neighbor_lists(self) -> list[list[int]]:
-        adj = [[] for _ in range(self.parent.node_count)]
-        for (u, v), keep in zip(self.parent.edges, self.mask):
-            if keep:
-                adj[u].append(v)
-                adj[v].append(u)
-        return adj
+        return self.parent.neighbor_lists(self.mask)
 
     def adjacency_matrix(self) -> np.ndarray:
         """Dense symmetric 0/1 adjacency matrix of the present edges."""
-        n = self.parent.node_count
-        a = np.zeros((n, n), dtype=np.float64)
-        u = self.parent.edge_u[self.mask]
-        v = self.parent.edge_v[self.mask]
-        a[u, v] = 1.0
-        a[v, u] = 1.0
-        return a
+        return self.parent.adjacency_matrix(self.mask)
 
 
 def world_probability(g: UncertainGraph, w: PossibleWorld) -> float:

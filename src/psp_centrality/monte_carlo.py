@@ -19,6 +19,7 @@ from .deterministic import (
     CentralityVector,
     betweenness_scores_from_adjacency,
     harmonic_scores_from_adjacency,
+    require_nodes,
 )
 from .graph_model import UncertainGraph
 
@@ -58,30 +59,12 @@ def _sample_world_codes(g: UncertainGraph, cfg: McConfig):
     return np.unique(rows, axis=0, return_counts=True)
 
 
-def _certain_adjacency(g: UncertainGraph) -> np.ndarray:
-    """Dense adjacency matrix of the probability-1 edges, shared by every world."""
-    n = g.node_count
-    base = np.zeros((n, n))
-    u = g.edge_u[g.certain_mask]
-    v = g.edge_v[g.certain_mask]
-    base[u, v] = 1.0
-    base[v, u] = 1.0
-    return base
-
-
-def _eval_chunk(g: UncertainGraph, base: np.ndarray, kernel, rows: np.ndarray) -> np.ndarray:
+def _eval_chunk(g: UncertainGraph, kernel, rows: np.ndarray) -> np.ndarray:
     k = g.uncertain_edge_count
     out = np.empty((len(rows), g.node_count))
     for i, row in enumerate(rows):
-        a = base.copy()
-        if k:
-            incl = np.unpackbits(row)[:k].astype(bool)
-            idx = g.uncertain_idx[incl]
-            u = g.edge_u[idx]
-            v = g.edge_v[idx]
-            a[u, v] = 1.0
-            a[v, u] = 1.0
-        out[i] = kernel(a)
+        incl = np.unpackbits(row)[:k].astype(bool)
+        out[i] = kernel(g.adjacency_matrix(g.full_mask(incl)))
     return out
 
 
@@ -93,7 +76,7 @@ def _mc_estimate(g: UncertainGraph, cfg: McConfig, measure: str) -> np.ndarray:
         if measure == "harmonic"
         else betweenness_scores_from_adjacency
     )
-    fn = functools.partial(_eval_chunk, g, _certain_adjacency(g), kernel)
+    fn = functools.partial(_eval_chunk, g, kernel)
     values = _parallel.run_ordered(fn, chunks, cfg.workers)
     stacked = np.concatenate(values, axis=0)
     return counts.astype(np.float64) @ stacked / cfg.samples
@@ -101,8 +84,7 @@ def _mc_estimate(g: UncertainGraph, cfg: McConfig, measure: str) -> np.ndarray:
 
 def mc_harmonic(g: UncertainGraph, cfg: McConfig) -> CentralityVector:
     """Mean harmonic closeness over cfg.samples sampled worlds."""
-    if g.node_count < 2:
-        raise ValueError("harmonic closeness needs at least 2 nodes")
+    require_nodes("harmonic", g.node_count)
     scores = _mc_estimate(g, cfg, "harmonic")
     return CentralityVector(
         scores, method="mc-harmonic", params={"samples": cfg.samples}, seed=cfg.master_seed
@@ -111,8 +93,7 @@ def mc_harmonic(g: UncertainGraph, cfg: McConfig) -> CentralityVector:
 
 def mc_betweenness(g: UncertainGraph, cfg: McConfig) -> CentralityVector:
     """Mean betweenness over cfg.samples sampled worlds."""
-    if g.node_count < 3:
-        raise ValueError("betweenness needs at least 3 nodes")
+    require_nodes("betweenness", g.node_count)
     scores = _mc_estimate(g, cfg, "betweenness")
     return CentralityVector(
         scores, method="mc-betweenness", params={"samples": cfg.samples}, seed=cfg.master_seed

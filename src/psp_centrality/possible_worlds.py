@@ -9,7 +9,6 @@ distribution and independent world sampling.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +17,9 @@ from .deterministic import (
     CentralityVector,
     betweenness_scores_from_adjacency,
     harmonic_scores_from_adjacency,
+    hop_distances,
+    require_nodes,
+    require_pair,
 )
 from .graph_model import PossibleWorld, UncertainGraph
 
@@ -86,42 +88,15 @@ def enumerate_worlds(g: UncertainGraph, cap: int = DEFAULT_ENUMERATION_CAP):
         yield PossibleWorld(g, mask), prob
 
 
-def _world_adjacency_lists(g: UncertainGraph, mask: np.ndarray) -> list[list[int]]:
-    adj = [[] for _ in range(g.node_count)]
-    for i in np.flatnonzero(mask):
-        u, v = g.edges[i]
-        adj[u].append(v)
-        adj[v].append(u)
-    return adj
-
-
-def _bfs_dist_to(adj, s: int, t: int) -> int:
-    """Hop distance from s to t, -1 when unreachable; stops as soon as t pops."""
-    dist = {s: 0}
-    queue = deque([s])
-    while queue:
-        u = queue.popleft()
-        if u == t:
-            return dist[u]
-        nd = dist[u] + 1
-        for v in adj[u]:
-            if v not in dist:
-                dist[v] = nd
-                queue.append(v)
-    return -1
-
-
 def exact_distance_distribution(
     g: UncertainGraph, s: int, t: int, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> DistanceDistribution:
     """Exact distance distribution of the pair (s, t) by world enumeration."""
-    if s == t:
-        raise ValueError("s and t must be distinct")
-    n = g.node_count
-    mass = np.zeros(n)
+    require_pair(g.node_count, s, t)
+    mass = np.zeros(g.node_count)
     mass_inf = 0.0
     for mask, prob in _iter_world_masks(g, cap):
-        d = _bfs_dist_to(_world_adjacency_lists(g, mask), s, t)
+        d = hop_distances(g.neighbor_lists(mask), s)[t]
         if d < 0:
             mass_inf += prob
         else:
@@ -169,27 +144,15 @@ def exact_expected_centrality(
     g: UncertainGraph, measure: str, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> CentralityVector:
     """Exact expected centrality: sum of Pr(world) * measure(world) per node."""
-    if measure == "harmonic":
-        if g.node_count < 2:
-            raise ValueError("harmonic closeness needs at least 2 nodes")
-        kernel = harmonic_scores_from_adjacency
-    elif measure == "betweenness":
-        if g.node_count < 3:
-            raise ValueError("betweenness needs at least 3 nodes")
-        kernel = betweenness_scores_from_adjacency
-    else:
-        raise ValueError(f"unknown measure {measure!r}")
-
-    n = g.node_count
-    base = np.zeros((n, n))
-    expected = np.zeros(n)
+    require_nodes(measure, g.node_count)
+    kernel = (
+        harmonic_scores_from_adjacency
+        if measure == "harmonic"
+        else betweenness_scores_from_adjacency
+    )
+    expected = np.zeros(g.node_count)
     for mask, prob in _iter_world_masks(g, cap):
-        a = base.copy()
-        u = g.edge_u[mask]
-        v = g.edge_v[mask]
-        a[u, v] = 1.0
-        a[v, u] = 1.0
-        expected += prob * kernel(a)
+        expected += prob * kernel(g.adjacency_matrix(mask))
     return CentralityVector(expected, method=f"exact-{measure}", params={"cap": cap})
 
 

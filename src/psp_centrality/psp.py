@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _parallel
-from .deterministic import CentralityVector
+from .deterministic import CentralityVector, hop_distances, require_nodes, require_pair
 from .graph_model import UncertainGraph
 from .possible_worlds import DistanceDistribution
 
@@ -140,20 +140,8 @@ def _hop_table(g: UncertainGraph) -> list[list[int]]:
     the lower bound that ``_forward_bfs`` prunes later rounds with. n x n
     small ints, built with one plain BFS per node.
     """
-    n = g.node_count
-    table = []
-    for t in range(n):
-        row = [-1] * n
-        row[t] = 0
-        queue = deque([t])
-        while queue:
-            u = queue.popleft()
-            for v, _, _ in g.adj[u]:
-                if row[v] < 0:
-                    row[v] = row[u] + 1
-                    queue.append(v)
-        table.append(row)
-    return table
+    adj = g.neighbor_lists(g.probs > 0.0)
+    return [hop_distances(adj, t) for t in range(g.node_count)]
 
 
 def retrieve_min_edges(g: UncertainGraph, t: int, dist, tags, deleted=frozenset()):
@@ -233,8 +221,7 @@ def all_shortest_paths_round(
 
     Returns length inf with empty lists when t is unreachable.
     """
-    if s == t:
-        raise ValueError("s and t must be distinct")
+    require_pair(g.node_count, s, t)
     dist, preds, tags = _forward_bfs(g, s, t, deleted)
     if dist[t] < 0:
         return ExplorationRound(math.inf, [], [])
@@ -253,7 +240,8 @@ def _rounds(g: UncertainGraph, s: int, t: int, done, first=None, hops_to_t=None)
     The all-nodes drivers pass ``first``, the (dist, preds, tags) of a full
     BFS from s without deletions, which serves as round one, and t's row of
     the hop table, which bounds every later round: each shortest path lost an
-    edge, so the next length is at least the last one plus 1.
+    edge, so the next length is at least the last one plus 1. Without a hop
+    row (the single-pair API) ``_forward_bfs`` ignores the bound.
     """
     deleted = set()
     length = 0
@@ -261,8 +249,6 @@ def _rounds(g: UncertainGraph, s: int, t: int, done, first=None, hops_to_t=None)
         if first is not None:
             dist, preds, tags = first
             first = None
-        elif hops_to_t is None:
-            dist, preds, tags = _forward_bfs(g, s, t, deleted)
         else:
             dist, preds, tags = _forward_bfs(
                 g, s, t, deleted, hops_to_t=hops_to_t, bound=length + 1
@@ -298,14 +284,17 @@ def _iter_round_masses(g: UncertainGraph, s: int, t: int, phi: float, first=None
             remaining *= 1.0 - p
 
 
+def _require_phi(phi: float) -> None:
+    if not 0.0 <= phi <= 1.0:
+        raise ValueError("phi must lie in [0, 1]")
+
+
 def psp_distance_distribution(
     g: UncertainGraph, s: int, t: int, phi: float
 ) -> DistanceDistribution:
     """Estimated s-t distance distribution from explored shortest paths."""
-    if s == t:
-        raise ValueError("s and t must be distinct")
-    if not 0.0 <= phi <= 1.0:
-        raise ValueError("phi must lie in [0, 1]")
+    require_pair(g.node_count, s, t)
+    _require_phi(phi)
     mass = np.zeros(g.node_count)
     total = 0.0
     for k, m in _iter_round_masses(g, s, t, phi):
@@ -316,8 +305,8 @@ def psp_distance_distribution(
 
 def psp_distance_er(g: UncertainGraph, s: int, t: int, phi: float) -> float:
     """Estimated expected-reliable distance; inf when no path mass was found."""
-    if s == t:
-        raise ValueError("s and t must be distinct")
+    require_pair(g.node_count, s, t)
+    _require_phi(phi)
     gamma, delta = _pair_gamma_delta(g, s, t, phi)
     if gamma <= 0.0:
         return math.inf
@@ -354,6 +343,23 @@ def _reachable_targets(g: UncertainGraph, phi: float, hops, s: int):
             yield t, first, hops[t]
 
 
+def _sum_source_tasks(g: UncertainGraph, phi: float, workers: int, task) -> np.ndarray:
+    """Sum ``task(g, phi, hops, s)`` over the sources s < n - 1, in source order.
+
+    The hop table is built once per call, and only when phi > 0 (at phi 0
+    no pair runs a round).
+    """
+    _require_phi(phi)
+    hops = _hop_table(g) if phi > 0.0 else None
+    partials = _parallel.run_ordered(
+        functools.partial(task, g, phi, hops), range(g.node_count - 1), workers
+    )
+    scores = np.zeros(g.node_count)
+    for part in partials:
+        scores += part
+    return scores
+
+
 def _harmonic_source_task(g: UncertainGraph, phi: float, hops, s: int) -> np.ndarray:
     partial = np.zeros(g.node_count)
     for t, first, hops_to_t in _reachable_targets(g, phi, hops, s):
@@ -371,17 +377,8 @@ def psp_harmonic_all(g: UncertainGraph, phi: float, workers: int = 1) -> Central
     Each unordered pair is explored once; per-source partial sums are merged
     in source order so the output is identical for any worker count.
     """
-    if g.node_count < 2:
-        raise ValueError("harmonic closeness needs at least 2 nodes")
-    if not 0.0 <= phi <= 1.0:
-        raise ValueError("phi must lie in [0, 1]")
-    hops = _hop_table(g) if phi > 0.0 else None
-    partials = _parallel.run_ordered(
-        functools.partial(_harmonic_source_task, g, phi, hops), range(g.node_count - 1), workers
-    )
-    scores = np.zeros(g.node_count)
-    for part in partials:
-        scores += part
+    require_nodes("harmonic", g.node_count)
+    scores = _sum_source_tasks(g, phi, workers, _harmonic_source_task)
     scores /= g.node_count - 1
     return CentralityVector(scores, method="psp-harmonic", params={"phi": phi})
 
@@ -423,17 +420,8 @@ def psp_betweenness_all(g: UncertainGraph, phi: float, workers: int = 1) -> Cent
     final estimated connection probability. Deterministic for any worker
     count (fixed-order merge of per-source partials).
     """
-    if g.node_count < 3:
-        raise ValueError("betweenness needs at least 3 nodes")
-    if not 0.0 <= phi <= 1.0:
-        raise ValueError("phi must lie in [0, 1]")
-    hops = _hop_table(g) if phi > 0.0 else None
-    partials = _parallel.run_ordered(
-        functools.partial(_betweenness_source_task, g, phi, hops), range(g.node_count - 1), workers
-    )
+    require_nodes("betweenness", g.node_count)
+    scores = _sum_source_tasks(g, phi, workers, _betweenness_source_task)
     n = g.node_count
-    scores = np.zeros(n)
-    for part in partials:
-        scores += part
     scores *= 2.0 / ((n - 1) * (n - 2))
     return CentralityVector(scores, method="psp-betweenness", params={"phi": phi})

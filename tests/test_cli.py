@@ -165,6 +165,22 @@ def test_negative_node_count_header_is_a_one_line_error(tmp_path, capsys):
     assert_one_line_error(capsys, "line 1: negative node count")
 
 
+def test_psp_phi_out_of_range_is_a_one_line_error(tmp_path, capsys, detour):
+    graph_path = tmp_path / "g.el"
+    save_graph(detour, graph_path)
+    out = tmp_path / "h.scores"
+    assert run("psp-harmonic", graph_path, "-o", out, "--phi", 1.5, "--workers", 1) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: phi must lie in [0, 1]"]
+
+
+def test_bad_workers_variable_is_a_one_line_error(tmp_path, capsys, monkeypatch, detour):
+    monkeypatch.setenv("PSP_CENTRALITY_WORKERS", "abc")
+    graph_path = tmp_path / "g.el"
+    save_graph(detour, graph_path)
+    assert run("psp-harmonic", graph_path, "-o", tmp_path / "h.scores") == 1
+    assert_one_line_error(capsys, "PSP_CENTRALITY_WORKERS must be an integer, got 'abc'")
+
+
 def test_compare_gap_in_node_ids_is_a_one_line_error(tmp_path, capsys):
     a = tmp_path / "a.scores"
     a.write_text("# method x\n0 0.5\n2 0.25\n")

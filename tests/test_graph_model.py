@@ -119,6 +119,18 @@ def test_world_probability_worked_example(parallel_graph):
     assert world_probability(parallel_graph, w) == pytest.approx(0.81, abs=1e-15)
 
 
+def test_world_adjacency_builders_agree(detour):
+    # Edges (0,1) and (1,3) present: the path 0 - 1 - 3.
+    mask = np.array([e in {(0, 1), (1, 3)} for e in detour.edges])
+    assert detour.neighbor_lists(mask) == [[1], [0, 3], [], [1]]
+    a = detour.adjacency_matrix(mask)
+    assert a.dtype == np.float64
+    assert [sorted(np.flatnonzero(row)) for row in a] == [[1], [0, 3], [], [1]]
+    w = PossibleWorld(detour, mask)
+    assert w.neighbor_lists() == detour.neighbor_lists(mask)
+    assert np.array_equal(w.adjacency_matrix(), a)
+
+
 def test_world_validation(parallel_graph):
     with pytest.raises(ValueError, match="not an edge"):
         PossibleWorld.from_present_edges(parallel_graph, [(0, 3)])

@@ -10,6 +10,7 @@ from psp_centrality import (
     mc_betweenness,
     mc_harmonic,
 )
+from psp_centrality import monte_carlo
 
 from conftest import full_world, random_uncertain_graph
 
@@ -107,3 +108,34 @@ def test_metadata_carries_provenance():
     assert vec.method == "mc-harmonic"
     assert vec.params == {"samples": 10}
     assert vec.seed == 42
+
+
+def test_kernels_run_once_per_distinct_world_looked_up_by_name(monkeypatch):
+    # Tracers count kernel calls and chunks by patching these module
+    # attributes, so _mc_estimate must look them up when it runs.
+    rng = np.random.default_rng(5)
+    g = random_uncertain_graph(rng, n=10, edge_prob=0.5, max_uncertain=12)
+    cfg = McConfig(samples=3000, master_seed=3)
+    distinct = len(monte_carlo._sample_world_codes(g, cfg)[0])
+    size = monte_carlo._EVAL_CHUNK
+    assert distinct > size
+    real_eval_chunk = monte_carlo._eval_chunk
+    for measure, estimator in (("harmonic", mc_harmonic), ("betweenness", mc_betweenness)):
+        kernel_name = f"{measure}_scores_from_adjacency"
+        real_kernel = getattr(monte_carlo, kernel_name)
+        worlds, chunks = [], []
+
+        def counting_kernel(a):
+            worlds.append(a.tobytes())
+            return real_kernel(a)
+
+        def counting_eval_chunk(*args):
+            chunks.append(len(args[-1]))
+            return real_eval_chunk(*args)
+
+        monkeypatch.setattr(monte_carlo, kernel_name, counting_kernel)
+        monkeypatch.setattr(monte_carlo, "_eval_chunk", counting_eval_chunk)
+        estimator(g, cfg)
+        monkeypatch.undo()
+        assert len(worlds) == len(set(worlds)) == distinct
+        assert chunks == [min(size, distinct - i) for i in range(0, distinct, size)]

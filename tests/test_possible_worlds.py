@@ -78,6 +78,12 @@ def test_exact_distribution_requires_distinct_pair(detour):
         exact_distance_distribution(detour, 1, 1)
 
 
+@pytest.mark.parametrize("s,t", [(0, 9), (-1, 3)])
+def test_exact_distribution_rejects_node_ids_outside_the_graph(detour, s, t):
+    with pytest.raises(ValueError, match=r"is not an integer in 0\.\.3"):
+        exact_distance_distribution(detour, s, t)
+
+
 def test_distance_er_worked_examples(parallel_graph, detour):
     assert distance_er(exact_distance_distribution(parallel_graph, 0, 3)) == pytest.approx(
         2.0, abs=1e-12

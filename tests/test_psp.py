@@ -330,6 +330,21 @@ def test_distribution_validation(detour):
         psp_distance_distribution(detour, 2, 2, 0.5)
     with pytest.raises(ValueError):
         psp_distance_distribution(detour, 0, 3, 1.5)
+    for phi in (1.5, -0.5):
+        with pytest.raises(ValueError, match=r"phi must lie in \[0, 1\]"):
+            psp_distance_er(detour, 0, 3, phi)
+
+
+@pytest.mark.parametrize("s,t", [(0, 9), (-1, 3), (4, 0), (0.0, 3)])
+def test_single_pair_api_rejects_node_ids_outside_the_graph(detour, s, t):
+    calls = (
+        lambda: psp_distance_distribution(detour, s, t, 0.8),
+        lambda: psp_distance_er(detour, s, t, 0.8),
+        lambda: all_shortest_paths_round(detour, s, t),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match=r"is not an integer in 0\.\.3"):
+            call()
 
 
 def test_distribution_normalized_random():
