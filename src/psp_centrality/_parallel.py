@@ -28,10 +28,13 @@ def _call_worker_fn(task):
 def run_ordered(fn, tasks, workers):
     """Map fn over tasks, returning the results in task order.
 
-    With ``workers <= 1`` (or a single task) everything runs in-process.
+    ``workers`` must be >= 1, even when there is nothing to run. With one
+    worker (or at most one task) everything runs in-process.
     """
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     tasks = list(tasks)
-    if workers <= 1 or len(tasks) <= 1:
+    if workers == 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
     ctx = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(

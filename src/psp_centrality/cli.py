@@ -33,14 +33,21 @@ CENTRALITY_METHODS = (
 )
 
 
-def _default_workers() -> int:
+def _workers(given: int | None) -> int:
+    """A --workers/--jobs value as given (the pool checks it), else the
+    PSP_CENTRALITY_WORKERS value, else the CPU count."""
+    if given is not None:
+        return given
     env = os.environ.get(WORKERS_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(f"{WORKERS_ENV} must be an integer, got {env!r}") from None
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    try:
+        workers = int(env)
+    except ValueError:
+        raise ValueError(f"{WORKERS_ENV} must be an integer, got {env!r}") from None
+    if workers < 1:
+        raise ValueError(f"{WORKERS_ENV} must be >= 1, got {env!r}")
+    return workers
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -147,12 +154,12 @@ def _cmd_centrality(args) -> int:
     g = load_graph(args.graph)
     params = {}
     if args.command.startswith("psp-"):
-        params = {"phi": args.phi, "workers": args.workers or _default_workers()}
+        params = {"phi": args.phi, "workers": _workers(args.workers)}
     elif args.command.startswith("mc-"):
         params = {
             "samples": args.samples,
             "seed": args.seed,
-            "workers": args.workers or _default_workers(),
+            "workers": _workers(args.workers),
         }
     else:
         params = {"cap": args.cap}
@@ -214,7 +221,7 @@ def _cmd_reproduce(args) -> int:
         samples=args.samples,
         phi_grid=phi_grid,
         seed=args.seed,
-        jobs=args.jobs or _default_workers(),
+        jobs=_workers(args.jobs),
     )
     reports = experiments.phi_sweep(settings)
     experiments.write_sweep_outputs(args.out_dir, settings, reports)

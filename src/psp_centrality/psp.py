@@ -144,43 +144,34 @@ def _hop_table(g: UncertainGraph) -> list[list[int]]:
     return [hop_distances(adj, t) for t in range(g.node_count)]
 
 
-def retrieve_min_edges(g: UncertainGraph, t: int, dist, tags, deleted=frozenset()):
-    """Backward sweep from t collecting one minimal edge per shortest path.
+def retrieve_min_edges(t: int, preds, tags):
+    """Backward sweep from t over the predecessor DAG collecting one minimal
+    edge per shortest path.
 
-    Walks only edges that step one level closer to the source. An edge
-    incident to t is taken when its probability is <= the minimum recorded
+    An edge into t is taken when its probability is <= the minimum recorded
     below it; deeper down, an edge is taken exactly when it is the stored
-    tag of its upper endpoint. The walk stops below every emitted edge, so
+    tag of its deeper endpoint. The walk stops below every emitted edge, so
     each shortest path loses at least one edge and every emitted edge lies
-    on some shortest path.
+    on some shortest path. The edges come in no fixed order.
     """
-    visited = [False] * g.node_count
-    visited[t] = True
     out = []
     queue = deque()
-    d_t = dist[t]
-    for child, p, ekey in g.adj[t]:
-        if ekey in deleted:
-            continue
-        if dist[child] == d_t - 1:
-            visited[child] = True
-            if p <= tags[child][1]:
-                out.append(ekey)
-            else:
-                queue.append(child)
+    for parent, p in preds[t]:
+        if p <= tags[parent][1]:
+            out.append((parent, t) if parent < t else (t, parent))
+        else:
+            queue.append(parent)
+    seen = set()
     while queue:
         curr = queue.popleft()
         tag_edge = tags[curr][0]
-        d_down = dist[curr] - 1
-        for child, p, ekey in g.adj[curr]:
-            if ekey in deleted:
-                continue
-            if dist[child] == d_down:
-                if tag_edge == ekey:
-                    out.append(ekey)
-                elif not visited[child]:
-                    visited[child] = True
-                    queue.append(child)
+        for parent, _ in preds[curr]:
+            ekey = (parent, curr) if parent < curr else (curr, parent)
+            if ekey == tag_edge:
+                out.append(ekey)
+            elif parent not in seen:
+                seen.add(parent)
+                queue.append(parent)
     return out
 
 
@@ -225,7 +216,7 @@ def all_shortest_paths_round(
     dist, preds, tags = _forward_bfs(g, s, t, deleted)
     if dist[t] < 0:
         return ExplorationRound(math.inf, [], [])
-    min_edges = retrieve_min_edges(g, t, dist, tags, deleted)
+    min_edges = retrieve_min_edges(t, preds, tags)
     return ExplorationRound(dist[t], _path_probs(preds, s, t), min_edges)
 
 
@@ -257,7 +248,7 @@ def _rounds(g: UncertainGraph, s: int, t: int, done, first=None, hops_to_t=None)
         if length < 0:
             return
         yield length, preds
-        deleted.update(retrieve_min_edges(g, t, dist, tags, deleted))
+        deleted.update(retrieve_min_edges(t, preds, tags))
 
 
 def _iter_round_masses(g: UncertainGraph, s: int, t: int, phi: float, first=None, hops_to_t=None):
@@ -327,15 +318,12 @@ def _pair_gamma_delta(g, s, t, phi, first=None, hops_to_t=None):
     return gamma, delta
 
 
-def _reachable_targets(g: UncertainGraph, phi: float, hops, s: int):
+def _reachable_targets(g: UncertainGraph, hops, s: int):
     """Yield (t, round one, t's hop row) for every target t > s that s reaches.
 
     One BFS from s without deletions serves round one of every target; the
-    other targets never connect, so they get no BFS at all. At phi 0 no pair
-    runs a round, and nothing is yielded.
+    other targets never connect, so they get no BFS at all.
     """
-    if phi <= 0.0:
-        return
     first = _forward_bfs(g, s, s, frozenset())
     dist = first[0]
     for t in range(s + 1, g.node_count):
@@ -346,14 +334,13 @@ def _reachable_targets(g: UncertainGraph, phi: float, hops, s: int):
 def _sum_source_tasks(g: UncertainGraph, phi: float, workers: int, task) -> np.ndarray:
     """Sum ``task(g, phi, hops, s)`` over the sources s < n - 1, in source order.
 
-    The hop table is built once per call, and only when phi > 0 (at phi 0
-    no pair runs a round).
+    At phi 0 no pair runs a round: there are no sources, so no hop table is
+    built and no pool starts. Otherwise the hop table is built once per call.
     """
     _require_phi(phi)
-    hops = _hop_table(g) if phi > 0.0 else None
-    partials = _parallel.run_ordered(
-        functools.partial(task, g, phi, hops), range(g.node_count - 1), workers
-    )
+    sources = range(g.node_count - 1) if phi > 0.0 else range(0)
+    hops = _hop_table(g) if sources else None
+    partials = _parallel.run_ordered(functools.partial(task, g, phi, hops), sources, workers)
     scores = np.zeros(g.node_count)
     for part in partials:
         scores += part
@@ -362,7 +349,7 @@ def _sum_source_tasks(g: UncertainGraph, phi: float, workers: int, task) -> np.n
 
 def _harmonic_source_task(g: UncertainGraph, phi: float, hops, s: int) -> np.ndarray:
     partial = np.zeros(g.node_count)
-    for t, first, hops_to_t in _reachable_targets(g, phi, hops, s):
+    for t, first, hops_to_t in _reachable_targets(g, hops, s):
         gamma, delta = _pair_gamma_delta(g, s, t, phi, first, hops_to_t)
         if gamma > 0.0:
             recip = gamma / delta
@@ -384,11 +371,9 @@ def psp_harmonic_all(g: UncertainGraph, phi: float, workers: int = 1) -> Central
 
 
 def _betweenness_source_task(g: UncertainGraph, phi: float, hops, s: int) -> np.ndarray:
-    n = g.node_count
-    partial = np.zeros(n)
-    buf = np.zeros(n)
-    for t, first, hops_to_t in _reachable_targets(g, phi, hops, s):
-        touched = []
+    partial = np.zeros(g.node_count)
+    for t, first, hops_to_t in _reachable_targets(g, hops, s):
+        shares = {}  # inner node -> summed relative path probability
         sigma = 0.0
         remaining = 1.0
         rounds = _rounds(g, s, t, lambda: 1.0 - remaining >= phi, first, hops_to_t)
@@ -399,16 +384,12 @@ def _betweenness_source_task(g: UncertainGraph, phi: float, hops, s: int) -> np.
                 sigma += rel
                 after *= 1.0 - prob
                 for v in inner:
-                    if buf[v] == 0.0:
-                        touched.append(v)
-                    buf[v] += rel
+                    shares[v] = shares.get(v, 0.0) + rel
             remaining = after
-        phi_st = 1.0 - remaining
         if sigma > 0.0:
-            for v in touched:
-                partial[v] += buf[v] / sigma * phi_st
-        for v in touched:
-            buf[v] = 0.0
+            phi_st = 1.0 - remaining
+            for v, share in shares.items():
+                partial[v] += share / sigma * phi_st
     return partial
 
 

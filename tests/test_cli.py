@@ -181,6 +181,34 @@ def test_bad_workers_variable_is_a_one_line_error(tmp_path, capsys, monkeypatch,
     assert_one_line_error(capsys, "PSP_CENTRALITY_WORKERS must be an integer, got 'abc'")
 
 
+@pytest.mark.parametrize(
+    "argv,env,fragment",
+    [
+        (["psp-harmonic", "--workers", "0"], None, "workers must be >= 1"),
+        (["psp-harmonic", "--workers", "-3"], None, "workers must be >= 1"),
+        (["mc-harmonic", "--samples", "10", "--workers", "0"], None, "workers must be >= 1"),
+        (["psp-betweenness"], "-5", "PSP_CENTRALITY_WORKERS must be >= 1, got '-5'"),
+        (["sweep", "--jobs", "0"], None, "workers must be >= 1"),
+    ],
+)
+def test_worker_count_below_one_is_a_one_line_error(
+    tmp_path, capsys, monkeypatch, detour, argv, env, fragment
+):
+    if env is None:
+        monkeypatch.delenv("PSP_CENTRALITY_WORKERS", raising=False)
+    else:
+        monkeypatch.setenv("PSP_CENTRALITY_WORKERS", env)
+    graph_path = tmp_path / "g.el"
+    save_graph(detour, graph_path)
+    if argv[0] == "sweep":
+        argv = ["reproduce", "random-graph-sweep", "--graphs-per-cell", 1, "--n", 12,
+                "--samples", 10, "--phi-grid", "0.8", "--out-dir", tmp_path / "out", *argv[1:]]
+    else:
+        argv = [argv[0], graph_path, "-o", tmp_path / "s.scores", *argv[1:]]
+    assert run(*argv) == 1
+    assert_one_line_error(capsys, fragment)
+
+
 def test_compare_gap_in_node_ids_is_a_one_line_error(tmp_path, capsys):
     a = tmp_path / "a.scores"
     a.write_text("# method x\n0 0.5\n2 0.25\n")

@@ -13,7 +13,7 @@ from psp_centrality.deterministic import (
     harmonic_scores_from_adjacency,
 )
 
-from conftest import full_world, random_deterministic_graph, star_graph
+from conftest import full_world, random_deterministic_graph, random_uncertain_graph, star_graph
 
 
 def path_graph(n):
@@ -184,3 +184,22 @@ def test_kernels_equal_full_matrix_reference_bit_for_bit():
             edges += [(hub, mid), (mid, hub + 4)]
     a = full_world(UncertainGraph(4 * k + 1, edges, [1.0] * len(edges))).adjacency_matrix()
     assert np.array_equal(betweenness_scores_from_adjacency(a), _full_matrix_betweenness(a))
+
+
+def test_dense_kernels_match_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(17)
+    for _ in range(30):
+        n = int(rng.integers(3, 31))
+        g = random_uncertain_graph(rng, n=n, edge_prob=float(rng.uniform(0.05, 0.5)))
+        mask = rng.random(g.edge_count) < g.probs
+        world = nx.Graph()
+        world.add_nodes_from(range(n))
+        world.add_edges_from(e for e, present in zip(g.edges, mask) if present)
+        a = g.adjacency_matrix(mask)
+        harmonic = nx.harmonic_centrality(world)
+        betweenness = nx.betweenness_centrality(world, normalized=True)
+        want_h = np.array([harmonic[v] for v in range(n)]) / (n - 1)
+        want_b = np.array([betweenness[v] for v in range(n)])
+        assert np.max(np.abs(harmonic_scores_from_adjacency(a) - want_h)) <= 1e-12
+        assert np.max(np.abs(betweenness_scores_from_adjacency(a) - want_b)) <= 1e-12

@@ -1,8 +1,11 @@
 import inspect
 import math
+from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psp_centrality import (
     UncertainGraph,
@@ -139,15 +142,49 @@ def test_forward_bfs_keeps_four_positional_arguments(detour):
     assert dist[3] == 2
 
 
+def _reference_min_edges(g, t, dist, tags, deleted=frozenset()):
+    """The earlier min-edge walk: it re-derives the predecessor DAG from the
+    adjacency lists, ``dist`` and the deletion set."""
+    visited = [False] * g.node_count
+    visited[t] = True
+    out = []
+    queue = deque()
+    d_t = dist[t]
+    for child, p, ekey in g.adj[t]:
+        if ekey in deleted:
+            continue
+        if dist[child] == d_t - 1:
+            visited[child] = True
+            if p <= tags[child][1]:
+                out.append(ekey)
+            else:
+                queue.append(child)
+    while queue:
+        curr = queue.popleft()
+        tag_edge = tags[curr][0]
+        d_down = dist[curr] - 1
+        for child, p, ekey in g.adj[curr]:
+            if ekey in deleted:
+                continue
+            if dist[child] == d_down:
+                if tag_edge == ekey:
+                    out.append(ekey)
+                elif not visited[child]:
+                    visited[child] = True
+                    queue.append(child)
+    return out
+
+
 def _reference_rounds(g, s, t, done):
-    """Unbounded per-pair rounds: a full BFS for every round of every pair."""
+    """Unbounded per-pair rounds: a full BFS for every round of every pair,
+    and the earlier adjacency-scanning min-edge walk."""
     deleted = set()
     while not done():
         dist, preds, tags = _forward_bfs(g, s, t, deleted)
         if dist[t] < 0:
             return
         yield dist[t], preds
-        deleted.update(retrieve_min_edges(g, t, dist, tags, deleted))
+        deleted.update(_reference_min_edges(g, t, dist, tags, deleted))
 
 
 def _reference_harmonic(g, phi):
@@ -228,6 +265,39 @@ def test_bounded_rounds_match_unbounded_reference_bit_for_bit(phi):
     assert disconnected >= 3
 
 
+def test_min_edges_over_preds_match_the_adjacency_walk():
+    # Every round of every pair, in all three BFS modes: the full sweep that
+    # serves round one, the sweep that stops at t's level, and the
+    # hop-bounded later rounds. Constant-probability graphs exercise the ties.
+    rounds = 0
+    for g in _bit_identity_graphs():
+        hops = psp._hop_table(g)
+        for s in range(g.node_count - 1):
+            full_dist, full_preds, full_tags = _forward_bfs(g, s, s, frozenset())
+            for t in range(s + 1, g.node_count):
+                deleted = set()
+                length = 0
+                while True:
+                    dist, preds, tags = _forward_bfs(g, s, t, deleted)
+                    if dist[t] < 0:
+                        break
+                    expected = _reference_min_edges(g, t, dist, tags, deleted)
+                    bounded = _forward_bfs(
+                        g, s, t, deleted, hops_to_t=hops[t], bound=length + 1
+                    )
+                    runs = [(preds, tags), bounded[1:]]
+                    if not deleted:
+                        runs.append((full_preds, full_tags))
+                    for run_preds, run_tags in runs:
+                        edges = retrieve_min_edges(t, run_preds, run_tags)
+                        assert len(edges) == len(set(edges))
+                        assert set(edges) == set(expected)
+                    deleted.update(expected)
+                    length = dist[t]
+                    rounds += 1
+    assert rounds > 1000
+
+
 def test_later_rounds_reach_only_nodes_within_the_bound(monkeypatch):
     # Round two on reaches node v only when dist[v] + hops(v, t) <= dist[t]:
     # the bound is t's new length, measured with t's own hop row.
@@ -270,8 +340,8 @@ def test_min_edge_tie_prefers_edge_closest_to_target():
 
 
 def test_retrieve_min_edges_direct_call(detour):
-    dist, _, tags = _forward_bfs(detour, 0, 3, frozenset())
-    emin = retrieve_min_edges(detour, 3, dist, tags)
+    _, preds, tags = _forward_bfs(detour, 0, 3, frozenset())
+    emin = retrieve_min_edges(3, preds, tags)
     assert sorted(emin) == [(0, 2), (1, 3)]
 
 
@@ -439,6 +509,14 @@ def test_worker_count_does_not_change_output():
     assert np.array_equal(b1, b4)
 
 
+@pytest.mark.parametrize("phi", (0.8, 0.0))
+@pytest.mark.parametrize("driver", (psp_harmonic_all, psp_betweenness_all))
+def test_all_nodes_drivers_reject_fewer_than_one_worker(detour, driver, phi):
+    for workers in (0, -2):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            driver(detour, phi, workers=workers)
+
+
 def test_all_nodes_preconditions(detour):
     one = UncertainGraph(1, [], [])
     with pytest.raises(ValueError):
@@ -458,3 +536,47 @@ def test_scores_within_unit_interval():
         b = psp_betweenness_all(g, 0.8).scores
         assert np.all((0.0 <= h) & (h <= 1.0))
         assert np.all((0.0 <= b) & (b <= 1.0 + 1e-12))
+
+
+def test_edge_order_and_endpoint_order_do_not_change_scores():
+    # With all edge probabilities distinct no tie rule fires, so the input
+    # order of the edges (which fixes adjacency order) may only reorder the
+    # floating-point sums. Node labels stay: pairs are oriented by label.
+    rng = np.random.default_rng(77)
+    for _ in range(40):
+        n = int(rng.integers(5, 12))
+        g = random_uncertain_graph(rng, n=n, edge_prob=float(rng.uniform(0.25, 0.6)))
+        probs = rng.uniform(0.01, 0.99, g.edge_count)
+        assert len(set(probs)) == g.edge_count
+        g = UncertainGraph(n, list(g.edges), probs)
+        order = rng.permutation(g.edge_count)
+        shuffled = UncertainGraph(n, [g.edges[i][::-1] for i in order], probs[order])
+        for phi in (0.3, 0.8, 1.0):
+            for driver in (psp_harmonic_all, psp_betweenness_all):
+                a = driver(g, phi).scores
+                b = driver(shuffled, phi).scores
+                assert np.max(np.abs(a - b)) <= 1e-12
+
+
+PHI_GRID = (0.0, 0.2, 0.5, 0.8, 0.95, 1.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_phi_st_never_decreases_with_phi(seed):
+    rng = np.random.default_rng(seed)
+    g = random_uncertain_graph(rng, n=int(rng.integers(2, 9)), edge_prob=0.45)
+    t = g.node_count - 1
+    phi_st = [1.0 - psp_distance_distribution(g, 0, t, phi).mass_inf for phi in PHI_GRID]
+    assert all(a <= b for a, b in zip(phi_st, phi_st[1:])), phi_st
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.sampled_from(PHI_GRID))
+def test_scores_within_unit_interval_hypothesis(seed, phi):
+    rng = np.random.default_rng(seed)
+    g = random_uncertain_graph(rng, n=int(rng.integers(3, 10)), edge_prob=0.45)
+    h = psp_harmonic_all(g, phi).scores
+    b = psp_betweenness_all(g, phi).scores
+    assert np.all((0.0 <= h) & (h <= 1.0))
+    assert np.all((0.0 <= b) & (b <= 1.0 + 1e-12))
