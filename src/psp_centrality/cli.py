@@ -13,10 +13,9 @@ import contextlib
 import json
 import os
 import sys
-import time
 
 from . import experiments, scores_io
-from .evaluation import ExperimentReport, compute_centrality, mae, scc
+from .evaluation import compare_runs, run_timed, write_reports_csv
 from .generators import GenSpec, generate
 from .graph_model import load_graph, save_graph
 from .possible_worlds import DEFAULT_ENUMERATION_CAP
@@ -152,20 +151,11 @@ def _cmd_generate(args, parser) -> int:
 
 def _cmd_centrality(args) -> int:
     g = load_graph(args.graph)
-    params = {}
-    if args.command.startswith("psp-"):
-        params = {"phi": args.phi, "workers": _workers(args.workers)}
-    elif args.command.startswith("mc-"):
-        params = {
-            "samples": args.samples,
-            "seed": args.seed,
-            "workers": _workers(args.workers),
-        }
-    else:
-        params = {"cap": args.cap}
-    start = time.perf_counter()
-    vec = compute_centrality(g, args.command, **params)
-    elapsed_ms = (time.perf_counter() - start) * 1000.0
+    opts = vars(args)
+    spec = {k: opts[k] for k in ("phi", "samples", "seed", "cap") if k in opts}
+    if "workers" in opts:
+        spec["workers"] = _workers(args.workers)
+    vec, _, elapsed_ms = run_timed(g, {"method": args.command, **spec})
     scores_io.write_scores(args.output, vec)
     print(f"{args.command}: {len(vec.scores)} nodes in {elapsed_ms:.1f} ms", file=sys.stderr)
     return 0
@@ -175,17 +165,11 @@ def _cmd_compare(args) -> int:
     a = scores_io.read_scores(args.scores_a)
     b = scores_io.read_scores(args.scores_b)
     if len(a.scores) != len(b.scores):
-        raise ValueError(
-            f"node-count mismatch: {len(a.scores)} vs {len(b.scores)}"
-        )
-    report = ExperimentReport(
-        measure=a.method.split("-")[-1],
-        method_a={"method": a.method, **a.params},
-        method_b={"method": b.method, **b.params},
-        mae=mae(a, b),
-        scc=scc(a, b),
-        runtime_a_ms=0.0,
-        runtime_b_ms=0.0,
+        raise ValueError(f"node-count mismatch: {len(a.scores)} vs {len(b.scores)}")
+    report = compare_runs(
+        a.method.split("-")[-1],
+        (a, {"method": a.method, **a.params}, 0.0),
+        (b, {"method": b.method, **b.params}, 0.0),
         seed=a.seed,
     )
     if args.output:
@@ -196,7 +180,7 @@ def _cmd_compare(args) -> int:
         if args.format == "json":
             fh.write(report.to_json() + "\n")
         else:
-            experiments.write_reports_csv(fh, [report])
+            write_reports_csv(fh, [report])
     return 0
 
 

@@ -65,6 +65,12 @@ def require_pair(n: int, s: int, t: int) -> None:
         raise ValueError("s and t must be distinct")
 
 
+def require_phi(phi: float) -> None:
+    """Raise ValueError unless the exploration threshold phi lies in [0, 1]."""
+    if not 0.0 <= phi <= 1.0:
+        raise ValueError("phi must lie in [0, 1]")
+
+
 def hop_distances(adj, source: int) -> list[int]:
     """Breadth-first hop distance from ``source`` over neighbour lists; -1 = unreachable."""
     dist = [-1] * len(adj)

@@ -7,6 +7,7 @@ zero-betweenness leaves); without ties this equals the classic
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import time
@@ -64,6 +65,14 @@ CSV_COLUMNS = [
     "runtime_ms_heuristic",
     "runtime_ms_baseline",
 ]
+
+
+def write_reports_csv(fh, reports) -> None:
+    """Write the CSV header and one row per report to an open text stream."""
+    writer = csv.writer(fh)
+    writer.writerow(CSV_COLUMNS)
+    for r in reports:
+        writer.writerow(r.csv_row())
 
 
 @dataclass
@@ -129,13 +138,11 @@ def compute_centrality(
     raise ValueError(f"unknown method {method!r}")
 
 
-def _run_timed(g, spec):
-    params = {k: v for k, v in spec.items() if k != "method"}
+def run_timed(g: UncertainGraph, spec: dict):
+    """Run ``compute_centrality(g, **spec)``; return (scores, dict(spec), milliseconds)."""
     start = time.perf_counter()
-    vec = compute_centrality(g, spec["method"], **params)
-    elapsed_ms = (time.perf_counter() - start) * 1000.0
-    descriptor = {"method": spec["method"], **params}
-    return vec, descriptor, elapsed_ms
+    vec = compute_centrality(g, **spec)
+    return vec, dict(spec), (time.perf_counter() - start) * 1000.0
 
 
 def run_experiment(
@@ -154,10 +161,10 @@ def run_experiment(
     {"method": "psp-harmonic", "phi": 0.8} or {"method": "mc-harmonic",
     "samples": 10000, "seed": 7}.
     """
-    return _report(
+    return compare_runs(
         measure,
-        _run_timed(g, heuristic),
-        _run_timed(g, baseline),
+        run_timed(g, heuristic),
+        run_timed(g, baseline),
         graph_id=graph_id,
         model=model,
         prob_dist=prob_dist,
@@ -165,8 +172,8 @@ def run_experiment(
     )
 
 
-def _report(measure: str, timed_a, timed_b, **labels) -> ExperimentReport:
-    """Compare two ``_run_timed`` results with MAE and SCC."""
+def compare_runs(measure: str, timed_a, timed_b, **labels) -> ExperimentReport:
+    """Compare two (scores, descriptor, milliseconds) runs with MAE and SCC."""
     vec_a, desc_a, ms_a = timed_a
     vec_b, desc_b, ms_b = timed_b
     return ExperimentReport(

@@ -8,7 +8,6 @@ exploration-threshold grid.
 
 from __future__ import annotations
 
-import csv
 import functools
 import json
 import os
@@ -17,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _parallel
-from .evaluation import CSV_COLUMNS, ExperimentReport, _report, _run_timed
+from .deterministic import require_phi
+from .evaluation import ExperimentReport, compare_runs, run_timed, write_reports_csv
 from .generators import GenSpec, generate
 from .graph_model import UncertainGraph
 from .possible_worlds import distance_er, exact_distance_distribution
@@ -107,15 +107,20 @@ def _sweep_cell(cfg: SweepSettings, task) -> list[ExperimentReport]:
         # One MC baseline per (graph, measure): every phi row compares against
         # it and repeats its single measured runtime.
         mc_spec = {"method": f"mc-{measure}", "samples": cfg.samples, "seed": mc_seed}
-        baseline = _run_timed(g, mc_spec)
+        baseline = run_timed(g, mc_spec)
         for phi in cfg.phi_grid:
-            heuristic = _run_timed(g, {"method": f"psp-{measure}", "phi": phi})
-            reports.append(_report(measure, heuristic, baseline, **labels))
+            heuristic = run_timed(g, {"method": f"psp-{measure}", "phi": phi})
+            reports.append(compare_runs(measure, heuristic, baseline, **labels))
     return reports
 
 
 def phi_sweep(settings: SweepSettings) -> list[ExperimentReport]:
-    """Run the sweep; one report per (graph, measure, phi), in fixed order."""
+    """Run the sweep; one report per (graph, measure, phi), in fixed order.
+
+    Every phi of the grid is checked before any graph is generated.
+    """
+    for phi in settings.phi_grid:
+        require_phi(phi)
     tasks = [
         (mi, di, gi)
         for mi in range(len(settings.models))
@@ -126,14 +131,6 @@ def phi_sweep(settings: SweepSettings) -> list[ExperimentReport]:
         functools.partial(_sweep_cell, settings), tasks, settings.jobs
     )
     return [report for cell in results for report in cell]
-
-
-def write_reports_csv(fh, reports) -> None:
-    """Write the CSV header and one row per report to an open text stream."""
-    writer = csv.writer(fh)
-    writer.writerow(CSV_COLUMNS)
-    for r in reports:
-        writer.writerow(r.csv_row())
 
 
 def write_sweep_outputs(out_dir, settings: SweepSettings, reports) -> None:
@@ -153,7 +150,4 @@ def write_sweep_outputs(out_dir, settings: SweepSettings, reports) -> None:
         for key, vals in sorted(summary.items())
     }
     with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
-        json.dump({"settings": settings.__dict__ | {"models": list(settings.models),
-                                                     "dists": list(settings.dists),
-                                                     "phi_grid": list(settings.phi_grid)},
-                   "cells": rendered}, fh, indent=2, default=str)
+        json.dump({"settings": settings.__dict__, "cells": rendered}, fh, indent=2, default=str)

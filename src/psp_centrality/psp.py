@@ -28,7 +28,13 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _parallel
-from .deterministic import CentralityVector, hop_distances, require_nodes, require_pair
+from .deterministic import (
+    CentralityVector,
+    hop_distances,
+    require_nodes,
+    require_pair,
+    require_phi,
+)
 from .graph_model import UncertainGraph
 from .possible_worlds import DistanceDistribution
 
@@ -275,17 +281,12 @@ def _iter_round_masses(g: UncertainGraph, s: int, t: int, phi: float, first=None
             remaining *= 1.0 - p
 
 
-def _require_phi(phi: float) -> None:
-    if not 0.0 <= phi <= 1.0:
-        raise ValueError("phi must lie in [0, 1]")
-
-
 def psp_distance_distribution(
     g: UncertainGraph, s: int, t: int, phi: float
 ) -> DistanceDistribution:
     """Estimated s-t distance distribution from explored shortest paths."""
     require_pair(g.node_count, s, t)
-    _require_phi(phi)
+    require_phi(phi)
     mass = np.zeros(g.node_count)
     total = 0.0
     for k, m in _iter_round_masses(g, s, t, phi):
@@ -297,7 +298,7 @@ def psp_distance_distribution(
 def psp_distance_er(g: UncertainGraph, s: int, t: int, phi: float) -> float:
     """Estimated expected-reliable distance; inf when no path mass was found."""
     require_pair(g.node_count, s, t)
-    _require_phi(phi)
+    require_phi(phi)
     gamma, delta = _pair_gamma_delta(g, s, t, phi)
     if gamma <= 0.0:
         return math.inf
@@ -337,7 +338,7 @@ def _sum_source_tasks(g: UncertainGraph, phi: float, workers: int, task) -> np.n
     At phi 0 no pair runs a round: there are no sources, so no hop table is
     built and no pool starts. Otherwise the hop table is built once per call.
     """
-    _require_phi(phi)
+    require_phi(phi)
     sources = range(g.node_count - 1) if phi > 0.0 else range(0)
     hops = _hop_table(g) if sources else None
     partials = _parallel.run_ordered(functools.partial(task, g, phi, hops), sources, workers)

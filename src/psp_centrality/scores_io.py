@@ -9,6 +9,7 @@ floats and identical runs produce byte-identical files.
 from __future__ import annotations
 
 import ast
+import math
 
 import numpy as np
 
@@ -37,7 +38,8 @@ def read_scores(path) -> CentralityVector:
     """Parse a score file written by write_scores.
 
     Raises ValueError when node ids are duplicated or leave a gap, when their
-    count disagrees with the ``# nodes`` header, or when a line is malformed.
+    count disagrees with the ``# nodes`` header, when a score is not finite
+    (nan or inf), or when a line is malformed.
     """
     method = ""
     params: dict = {}
@@ -78,6 +80,8 @@ def read_scores(path) -> CentralityVector:
                 raise ValueError(
                     f"{path}: line {lineno}: expected '<node> <score>', got {line!r}"
                 ) from None
+            if not math.isfinite(score):
+                raise ValueError(f"{path}: line {lineno}: score is not finite: {score_str!r}")
             if node in entries:
                 raise ValueError(f"{path}: line {lineno}: duplicate node id {node}")
             entries[node] = score

@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psp_centrality import UncertainGraph, load_graph, save_graph
 from psp_centrality.cli import main
@@ -149,6 +155,28 @@ def test_reproduce_sweep_rerun_identical(tmp_path):
     assert strip(d1) == strip(d2)  # identical apart from runtime columns
 
 
+def test_sweep_rejects_a_bad_phi_grid_before_running(tmp_path, capsys, monkeypatch):
+    from psp_centrality import evaluation
+
+    mc_calls = []
+
+    def recording(real):
+        def mc(g, cfg):
+            mc_calls.append(g)
+            return real(g, cfg)
+        return mc
+
+    for name in ("mc_harmonic", "mc_betweenness"):
+        monkeypatch.setattr(evaluation, name, recording(getattr(evaluation, name)))
+    out_dir = tmp_path / "sweep"
+    code = run("reproduce", "random-graph-sweep", "--out-dir", out_dir, "--graphs-per-cell", 1,
+               "--n", 20, "--samples", 50, "--phi-grid", "0.5,1.5", "--jobs", 1)
+    assert code == 1
+    assert_one_line_error(capsys, "phi must lie in [0, 1]")
+    assert mc_calls == []
+    assert not (out_dir / "sweep.csv").exists()
+
+
 def assert_one_line_error(capsys, fragment):
     err = capsys.readouterr().err
     assert "Traceback" not in err
@@ -222,6 +250,8 @@ def test_compare_gap_in_node_ids_is_a_one_line_error(tmp_path, capsys):
         ("# nodes 2\n0 0.5 7\n1 0.25\n", "line 3: expected '<node> <score>', got '0 0.5 7'"),
         ("# nodes two\n0 0.5\n", "line 2: # nodes is not an integer: 'two'"),
         ("# seed 1.5\n0 0.5\n", "line 2: # seed is not an integer: '1.5'"),
+        ("0 nan\n", "line 2: score is not finite: 'nan'"),
+        ("0 0.5\n1 -inf\n", "line 3: score is not finite: '-inf'"),
     ],
 )
 def test_compare_malformed_score_file_is_a_one_line_error(tmp_path, capsys, body, fragment):
@@ -250,6 +280,9 @@ def test_scores_io_roundtrip(tmp_path):
         ("0 0.5\n1 0.25\n1 0.75\n", "line 4: duplicate node id 1"),
         ("# nodes 3\n0 0.5\n1 0.25\n", "header declares 3 nodes, file has 2"),
         ("# params phi=0.8)\n0 0.5\n", "bad parameter value"),
+        ("0 nan\n", "line 2: score is not finite: 'nan'"),
+        ("0 0.5\n1 inf\n", "line 3: score is not finite: 'inf'"),
+        ("0 0.5\n1 Infinity\n", "line 3: score is not finite: 'Infinity'"),
     ],
 )
 def test_read_scores_rejects_malformed_files(tmp_path, body, fragment):
@@ -257,3 +290,90 @@ def test_read_scores_rejects_malformed_files(tmp_path, body, fragment):
     path.write_text("# method x\n" + body)
     with pytest.raises(ValueError, match=fragment):
         read_scores(path)
+
+
+# --- fuzzed inputs ----------------------------------------------------------
+# Lines are built from a small token grammar. Node ids and "# nodes" values stay
+# below 100: a graph holds one adjacency list per node, so a large header would
+# only test the memory of the machine.
+
+TOKENS = ["0", "1", "2", "3", "7", "42", "99", "0.5", "-1", "nan", "inf", "1e3",
+          "#", "nodes", "method", "params", "phi=", "phi=0.5", "seed", "none", "stray"]
+SMALL_IDS = st.integers(min_value=0, max_value=12)
+NUMBERS = st.sampled_from(["0", "1", "0.5", "1.0", "0.25", "-1", "nan", "inf", "1e3"])
+HEADERS = st.sampled_from(["# method psp-harmonic", "# method mc-harmonic", "# method x",
+                           "# params phi=0.8", "# params samples=10 seed=3", "# seed 3",
+                           "# seed none", "# nodes", ""])
+EDGE_LINES = st.tuples(SMALL_IDS, SMALL_IDS, NUMBERS).map("{0[0]} {0[1]} {0[2]}".format)
+FUZZ_LINES = st.one_of(
+    st.lists(st.sampled_from(TOKENS), max_size=5).map(" ".join),
+    HEADERS,
+    st.integers(min_value=0, max_value=99).map(lambda k: f"# nodes {k}"),
+    EDGE_LINES,
+    st.tuples(SMALL_IDS, NUMBERS).map("{0[0]} {0[1]}".format),
+)
+
+
+def _text(parts):
+    return "\n".join(line for part in parts for line in part) + "\n"
+
+
+FUZZ_TEXT = st.lists(FUZZ_LINES, max_size=12).map(lambda lines: _text([lines]))
+# Near-valid files: headers, a well-formed body, then a few fuzzed lines.
+GRAPH_TEXT = st.tuples(
+    st.lists(HEADERS, max_size=2),
+    st.lists(EDGE_LINES, max_size=10),
+    st.lists(FUZZ_LINES, max_size=2),
+).map(_text)
+SCORE_TEXT = st.tuples(
+    st.lists(HEADERS, max_size=3),
+    st.lists(st.one_of(st.floats(0, 1).map(repr), NUMBERS), max_size=8).map(
+        lambda vals: [f"{i} {v}" for i, v in enumerate(vals)]),
+    st.lists(FUZZ_LINES, max_size=1),
+).map(_text)
+
+
+def _run_quietly(*argv):
+    """Run the CLI with captured streams; return (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(*argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_clean_exit(code, err):
+    assert "Traceback" not in err
+    assert code in (0, 1)
+    if code == 1:
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def _reject_constant(name):
+    raise AssertionError(f"compare printed {name}, which is not JSON")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(FUZZ_TEXT, GRAPH_TEXT), st.one_of(FUZZ_TEXT, SCORE_TEXT))
+def test_fuzzed_inputs_end_in_a_result_or_a_one_line_error(graph_text, scores_text):
+    with tempfile.TemporaryDirectory() as tmp:
+        graph = os.path.join(tmp, "g.el")
+        scores = os.path.join(tmp, "s.scores")
+        psp_out = os.path.join(tmp, "psp.scores")
+        with open(graph, "w", encoding="utf-8") as fh:
+            fh.write(graph_text)
+        with open(scores, "w", encoding="utf-8") as fh:
+            fh.write(scores_text)
+        for reader, path in ((load_graph, graph), (read_scores, scores)):
+            try:
+                reader(path)
+            except ValueError:
+                pass
+        code, _, err = _run_quietly("psp-harmonic", graph, "-o", psp_out, "--workers", 1)
+        _assert_clean_exit(code, err)
+        pairs = [(scores, scores)] + ([(psp_out, scores)] if code == 0 else [])
+        for a, b in pairs:
+            code, out, err = _run_quietly("compare", a, b)
+            _assert_clean_exit(code, err)
+            if code == 0:
+                json.loads(out, parse_constant=_reject_constant)

@@ -365,6 +365,67 @@ def test_every_shortest_path_loses_an_edge():
             pytest.fail("exploration did not terminate")
 
 
+TIE_PROBS = (0.0, 0.25, 0.5, 1.0)  # few values, so min-edge ties are common
+
+
+@st.composite
+def tied_graph_pairs(draw):
+    n = draw(st.integers(min_value=3, max_value=9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True))
+    probs = draw(st.lists(st.sampled_from(TIE_PROBS), min_size=len(edges), max_size=len(edges)))
+    s, t = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    return UncertainGraph(n, edges, probs), s, t
+
+
+@settings(max_examples=80, deadline=None)
+@given(tied_graph_pairs())
+def test_every_round_cuts_every_shortest_path_hypothesis(case):
+    """Each shortest path of a round, listed by networkx over the graph minus
+    the edges deleted so far, holds one of the round's min edges."""
+    nx = pytest.importorskip("networkx")
+    g, s, t = case
+    deleted: set = set()
+    for _ in range(g.edge_count + 1):
+        rnd = all_shortest_paths_round(g, s, t, deleted)
+        live = nx.Graph()
+        live.add_nodes_from(range(g.node_count))
+        live.add_edges_from(
+            (u, v) for u in range(g.node_count) for v, _, e in g.adj[u] if e not in deleted
+        )
+        if rnd.length == math.inf:
+            assert not nx.has_path(live, s, t)
+            return
+        cut = set(rnd.min_edges)
+        paths = list(nx.all_shortest_paths(live, s, t))
+        assert len(paths[0]) - 1 == rnd.length
+        for path in paths:
+            assert cut & {(min(e), max(e)) for e in zip(path, path[1:])}, path
+        deleted |= cut
+    pytest.fail("exploration did not terminate")
+
+
+def test_all_nodes_drivers_explore_each_pair_from_its_lower_label():
+    """psp_harmonic_all runs each pair s < t from s; the other orientation
+    gives other scores, so PSP scores depend on node labels."""
+    g = UncertainGraph(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (2, 3)],
+                       [0.09, 0.42, 0.66, 0.86, 0.9, 0.39])
+    phi = 0.8
+
+    def scores_from_pairs(orient):
+        scores = np.zeros(g.node_count)
+        for s in range(g.node_count):
+            for t in range(s + 1, g.node_count):
+                d = psp_distance_er(g, *orient(s, t), phi)
+                if d != math.inf:
+                    scores[[s, t]] += 1.0 / d
+        return scores / (g.node_count - 1)
+
+    all_nodes = psp_harmonic_all(g, phi, 1).scores
+    assert np.max(np.abs(all_nodes - scores_from_pairs(lambda s, t: (s, t)))) <= 1e-12
+    assert np.max(np.abs(all_nodes - scores_from_pairs(lambda s, t: (t, s)))) > 1e-3
+
+
 # --- estimated distributions ----------------------------------------------
 
 
