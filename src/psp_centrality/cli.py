@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import os
 import sys
@@ -69,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--prob-value", type=float, default=1.0, help="value for --prob constant"
     )
-    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--seed", type=int)
     common.add_argument("-o", "--output", required=True, help="output edge-list path")
     er = gen_sub.add_parser("er", parents=[common], help="Erdős-Rényi G(n, p)")
     er.add_argument("--p", type=float, required=True, help="pair probability in [0,1]")
@@ -112,15 +113,23 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep = rep_sub.add_parser("random-graph-sweep",
                                help="MAE/SCC of the heuristics vs Monte Carlo over a phi grid")
     sweep.add_argument("--out-dir", required=True)
-    sweep.add_argument("--graphs-per-cell", type=int, default=3)
-    sweep.add_argument("--n", type=int, default=100)
-    sweep.add_argument("--samples", type=int, default=10000,
-                       help="Monte Carlo ground-truth samples per graph (default 10000)")
-    sweep.add_argument("--phi-grid", type=str, default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0")
-    sweep.add_argument("--seed", type=int, default=2023)
-    sweep.add_argument("--jobs", type=int, default=None,
+    sweep.add_argument("--graphs-per-cell", type=int)
+    sweep.add_argument("--n", type=int)
+    sweep.add_argument("--samples", type=int, help="Monte Carlo ground-truth samples per graph "
+                       f"(default {experiments.SweepSettings.samples})")
+    sweep.add_argument("--phi-grid", help="comma-separated exploration thresholds")
+    sweep.add_argument("--seed", type=int)
+    sweep.add_argument("--jobs", type=int,
                        help="parallel graph jobs (default: worker count)")
     return parser
+
+
+def _settings(cls, args, **given):
+    """The settings dataclass ``cls`` from the parsed options named like its
+    fields, with ``given`` taking precedence; a None value keeps the default."""
+    opts = {**vars(args), **given}
+    names = [f.name for f in dataclasses.fields(cls)]
+    return cls(**{k: opts[k] for k in names if opts.get(k) is not None})
 
 
 def _cmd_generate(args, parser) -> int:
@@ -129,16 +138,7 @@ def _cmd_generate(args, parser) -> int:
         "beta": "beta44",
         "constant": f"constant:{args.prob_value}",
     }[args.prob]
-    spec = GenSpec(
-        model=args.model,
-        n=args.n,
-        p=getattr(args, "p", None),
-        m=getattr(args, "m", None),
-        k=getattr(args, "k", None),
-        gamma=getattr(args, "gamma", None),
-        prob_dist=prob_dist,
-        seed=args.seed,
-    )
+    spec = _settings(GenSpec, args, prob_dist=prob_dist)
     try:
         spec.validate()
     except ValueError as exc:
@@ -198,15 +198,10 @@ def _cmd_reproduce(args) -> int:
             )
         print(f"wrote {path}", file=sys.stderr)
         return 0
-    phi_grid = tuple(float(x) for x in args.phi_grid.split(","))
-    settings = experiments.SweepSettings(
-        graphs_per_cell=args.graphs_per_cell,
-        n=args.n,
-        samples=args.samples,
-        phi_grid=phi_grid,
-        seed=args.seed,
-        jobs=_workers(args.jobs),
-    )
+    given = {"jobs": _workers(args.jobs)}
+    if args.phi_grid is not None:
+        given["phi_grid"] = tuple(float(x) for x in args.phi_grid.split(","))
+    settings = _settings(experiments.SweepSettings, args, **given)
     reports = experiments.phi_sweep(settings)
     experiments.write_sweep_outputs(args.out_dir, settings, reports)
     print(f"wrote {len(reports)} rows to {os.path.join(args.out_dir, 'sweep.csv')}",

@@ -56,11 +56,16 @@ def require_nodes(measure: str, n: int) -> None:
         raise ValueError(f"{name} needs at least {least} nodes")
 
 
+def require_node(n: int, node) -> None:
+    """Raise ValueError unless node is an integer node id in 0..n-1."""
+    if not isinstance(node, (int, np.integer)) or not 0 <= node < n:
+        raise ValueError(f"node id {node!r} is not an integer in 0..{n - 1}")
+
+
 def require_pair(n: int, s: int, t: int) -> None:
     """Raise ValueError unless s and t are distinct integer node ids in 0..n-1."""
-    for node in (s, t):
-        if not isinstance(node, (int, np.integer)) or not 0 <= node < n:
-            raise ValueError(f"node id {node!r} is not an integer in 0..{n - 1}")
+    require_node(n, s)
+    require_node(n, t)
     if s == t:
         raise ValueError("s and t must be distinct")
 
@@ -88,8 +93,7 @@ def hop_distances(adj, source: int) -> list[int]:
 
 def bfs_distances(w: PossibleWorld, source: int) -> DistanceVector:
     """Breadth-first distances from ``source`` in the world w."""
-    if not 0 <= source < w.parent.node_count:
-        raise ValueError(f"source {source} outside node range")
+    require_node(w.parent.node_count, source)
     dist = np.array(hop_distances(w.neighbor_lists(), source), dtype=np.float64)
     dist[dist < 0.0] = np.inf
     return DistanceVector(source=source, dist=dist)

@@ -34,6 +34,10 @@ class GenSpec:
     seed: int = 0
 
     def validate(self):
+        """Raise ValueError unless the model's parameters are in range.
+
+        ``gen_er``, ``gen_ba`` and ``gen_rh`` check their arguments here too.
+        """
         if self.n < 1:
             raise ValueError("n must be >= 1")
         if self.model == "er":
@@ -55,10 +59,7 @@ class GenSpec:
 def gen_er(n: int, p: float, rng: np.random.Generator) -> UncertainGraph:
     """Gilbert-style random graph: each of the C(n,2) pairs appears with
     probability p. Returned with all edge probabilities 1 (pure topology)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
+    GenSpec("er", n, p=p).validate()
     iu, iv = np.triu_indices(n, k=1)
     keep = rng.random(len(iu)) < p
     edges = list(zip(iu[keep].tolist(), iv[keep].tolist()))
@@ -73,8 +74,7 @@ def gen_ba(n: int, m: int, rng: np.random.Generator) -> UncertainGraph:
     would duplicate an edge, so the seed degenerates to a path there and the
     closed-form count does not apply.
     """
-    if not 1 <= m < n:
-        raise ValueError("need 1 <= m < n")
+    GenSpec("ba", n, m=m).validate()
     edges: list[tuple[int, int]] = []
     if m >= 3:
         edges.extend((i, (i + 1) % m) for i in range(m))
@@ -141,10 +141,7 @@ def gen_rh(n: int, k: float, gamma: float, rng: np.random.Generator) -> Uncertai
     radius R (calibrated for average degree k, power-law exponent gamma) are
     joined whenever their hyperbolic distance is at most R. O(n^2) pairwise.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if k <= 0 or gamma <= 2:
-        raise ValueError("need k > 0 and gamma > 2")
+    GenSpec("rh", n, k=k, gamma=gamma).validate()
     if n == 1:
         return UncertainGraph(1, [], [])
     alpha = (gamma - 1.0) / 2.0

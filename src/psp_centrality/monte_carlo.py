@@ -29,7 +29,10 @@ _EVAL_CHUNK = 256  # distinct worlds evaluated per pool task
 
 @dataclass(frozen=True)
 class McConfig:
-    """Sample count, master seed and worker count for one estimator run."""
+    """Sample count, master seed and worker count for one estimator run.
+
+    The worker count is checked by the pool when the run starts.
+    """
 
     samples: int
     master_seed: int = 0
@@ -38,8 +41,6 @@ class McConfig:
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
 
 def _sample_world_codes(g: UncertainGraph, cfg: McConfig):
@@ -68,7 +69,9 @@ def _eval_chunk(g: UncertainGraph, kernel, rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _mc_estimate(g: UncertainGraph, cfg: McConfig, measure: str) -> np.ndarray:
+def _mc_estimate(g: UncertainGraph, cfg: McConfig, measure: str) -> CentralityVector:
+    """Mean ``measure`` score over cfg.samples sampled worlds, as a score vector."""
+    require_nodes(measure, g.node_count)
     codes, counts = _sample_world_codes(g, cfg)
     chunks = [codes[i : i + _EVAL_CHUNK] for i in range(0, len(codes), _EVAL_CHUNK)]
     kernel = (
@@ -78,23 +81,17 @@ def _mc_estimate(g: UncertainGraph, cfg: McConfig, measure: str) -> np.ndarray:
     )
     fn = functools.partial(_eval_chunk, g, kernel)
     values = _parallel.run_ordered(fn, chunks, cfg.workers)
-    stacked = np.concatenate(values, axis=0)
-    return counts.astype(np.float64) @ stacked / cfg.samples
+    scores = counts.astype(np.float64) @ np.concatenate(values, axis=0) / cfg.samples
+    return CentralityVector(
+        scores, method=f"mc-{measure}", params={"samples": cfg.samples}, seed=cfg.master_seed
+    )
 
 
 def mc_harmonic(g: UncertainGraph, cfg: McConfig) -> CentralityVector:
     """Mean harmonic closeness over cfg.samples sampled worlds."""
-    require_nodes("harmonic", g.node_count)
-    scores = _mc_estimate(g, cfg, "harmonic")
-    return CentralityVector(
-        scores, method="mc-harmonic", params={"samples": cfg.samples}, seed=cfg.master_seed
-    )
+    return _mc_estimate(g, cfg, "harmonic")
 
 
 def mc_betweenness(g: UncertainGraph, cfg: McConfig) -> CentralityVector:
     """Mean betweenness over cfg.samples sampled worlds."""
-    require_nodes("betweenness", g.node_count)
-    scores = _mc_estimate(g, cfg, "betweenness")
-    return CentralityVector(
-        scores, method="mc-betweenness", params={"samples": cfg.samples}, seed=cfg.master_seed
-    )
+    return _mc_estimate(g, cfg, "betweenness")

@@ -230,9 +230,10 @@ def _rounds(g: UncertainGraph, s: int, t: int, done, first=None, hops_to_t=None)
     """Drive the exploration rounds of one pair; yield (length, preds) per round.
 
     ``done()`` is checked before every round, so the caller's phi test sees
-    the paths of the previous round. After the caller has consumed a round,
-    one minimal edge per shortest path is deleted. Stops when t becomes
-    unreachable. A caller that stops early (capping rule) skips the deletion.
+    the paths of the previous round. Only when ``done()`` asks for another
+    round is one minimal edge per shortest path of the last round deleted, so
+    a pair that stops (phi reached, or the caller's capping rule) retrieves
+    no edges it would not use. Stops when t becomes unreachable.
 
     The all-nodes drivers pass ``first``, the (dist, preds, tags) of a full
     BFS from s without deletions, which serves as round one, and t's row of
@@ -243,18 +244,16 @@ def _rounds(g: UncertainGraph, s: int, t: int, done, first=None, hops_to_t=None)
     deleted = set()
     length = 0
     while not done():
-        if first is not None:
-            dist, preds, tags = first
+        if length:
+            deleted.update(retrieve_min_edges(t, preds, tags))
             first = None
-        else:
-            dist, preds, tags = _forward_bfs(
-                g, s, t, deleted, hops_to_t=hops_to_t, bound=length + 1
-            )
+        dist, preds, tags = first or _forward_bfs(
+            g, s, t, deleted, hops_to_t=hops_to_t, bound=length + 1
+        )
         length = dist[t]
         if length < 0:
             return
         yield length, preds
-        deleted.update(retrieve_min_edges(t, preds, tags))
 
 
 def _iter_round_masses(g: UncertainGraph, s: int, t: int, phi: float, first=None, hops_to_t=None):

@@ -38,8 +38,8 @@ def read_scores(path) -> CentralityVector:
     """Parse a score file written by write_scores.
 
     Raises ValueError when node ids are duplicated or leave a gap, when their
-    count disagrees with the ``# nodes`` header, when a score is not finite
-    (nan or inf), or when a line is malformed.
+    count disagrees with the ``# nodes`` header, when a score or a float
+    parameter is not finite (nan or inf), or when a line is malformed.
     """
     method = ""
     params: dict = {}
@@ -67,11 +67,14 @@ def read_scores(path) -> CentralityVector:
                         if "=" in item:
                             k, v = item.split("=", 1)
                             try:
-                                params[k] = ast.literal_eval(v)
+                                value = ast.literal_eval(v)
+                                if isinstance(value, float) and not math.isfinite(value):
+                                    raise ValueError
                             except (ValueError, SyntaxError):
                                 raise ValueError(
                                     f"{path}: line {lineno}: bad parameter value {item!r}"
                                 ) from None
+                            params[k] = value
                 continue
             try:
                 node_str, score_str = line.split()

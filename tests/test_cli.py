@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -177,6 +178,28 @@ def test_sweep_rejects_a_bad_phi_grid_before_running(tmp_path, capsys, monkeypat
     assert not (out_dir / "sweep.csv").exists()
 
 
+def test_sweep_settings_come_from_the_options_by_field_name(tmp_path, monkeypatch):
+    from psp_centrality import experiments
+
+    built = []
+
+    def recording_sweep(settings):
+        built.append(settings)
+        return []
+
+    monkeypatch.setattr(experiments, "phi_sweep", recording_sweep)
+    monkeypatch.setattr(experiments, "write_sweep_outputs", lambda *args: None)
+    assert run("reproduce", "random-graph-sweep", "--out-dir", tmp_path, "--jobs", 1) == 0
+    assert built == [dataclasses.replace(experiments.SweepSettings(), jobs=1)]
+
+    built.clear()
+    assert run("reproduce", "random-graph-sweep", "--out-dir", tmp_path, "--graphs-per-cell", 2,
+               "--n", 30, "--samples", 40, "--phi-grid", "0.25,0.75", "--seed", 5,
+               "--jobs", 3) == 0
+    assert built == [experiments.SweepSettings(graphs_per_cell=2, n=30, samples=40,
+                                               phi_grid=(0.25, 0.75), seed=5, jobs=3)]
+
+
 def assert_one_line_error(capsys, fragment):
     err = capsys.readouterr().err
     assert "Traceback" not in err
@@ -283,6 +306,8 @@ def test_scores_io_roundtrip(tmp_path):
         ("0 nan\n", "line 2: score is not finite: 'nan'"),
         ("0 0.5\n1 inf\n", "line 3: score is not finite: 'inf'"),
         ("0 0.5\n1 Infinity\n", "line 3: score is not finite: 'Infinity'"),
+        ("# params phi=1e999\n0 0.5\n", "line 2: bad parameter value 'phi=1e999'"),
+        ("# params phi=-1e999\n0 0.5\n", "line 2: bad parameter value 'phi=-1e999'"),
     ],
 )
 def test_read_scores_rejects_malformed_files(tmp_path, body, fragment):
@@ -297,8 +322,8 @@ def test_read_scores_rejects_malformed_files(tmp_path, body, fragment):
 # below 100: a graph holds one adjacency list per node, so a large header would
 # only test the memory of the machine.
 
-TOKENS = ["0", "1", "2", "3", "7", "42", "99", "0.5", "-1", "nan", "inf", "1e3",
-          "#", "nodes", "method", "params", "phi=", "phi=0.5", "seed", "none", "stray"]
+TOKENS = ["0", "1", "2", "3", "7", "42", "99", "0.5", "-1", "nan", "inf", "1e3", "#", "nodes",
+          "method", "params", "phi=", "phi=0.5", "phi=1e999", "seed", "none", "stray"]
 SMALL_IDS = st.integers(min_value=0, max_value=12)
 NUMBERS = st.sampled_from(["0", "1", "0.5", "1.0", "0.25", "-1", "nan", "inf", "1e3"])
 HEADERS = st.sampled_from(["# method psp-harmonic", "# method mc-harmonic", "# method x",

@@ -37,8 +37,9 @@ def test_bfs_detour_example(detour):
 
 
 def test_bfs_source_validation():
-    with pytest.raises(ValueError):
-        bfs_distances(full_world(path_graph(3)), 5)
+    for source in (5, 1.5):
+        with pytest.raises(ValueError, match="is not an integer in 0..2"):
+            bfs_distances(full_world(path_graph(3)), source)
 
 
 def test_harmonic_star(star5):

@@ -122,6 +122,23 @@ def test_generated_graphs_validate():
         assert len(set(g.edges)) == g.edge_count
 
 
+@pytest.mark.parametrize(
+    "spec,build",
+    [
+        (GenSpec(model="er", n=0, p=0.5), lambda rng: gen_er(0, 0.5, rng)),
+        (GenSpec(model="er", n=10, p=1.5), lambda rng: gen_er(10, 1.5, rng)),
+        (GenSpec(model="ba", n=10, m=10), lambda rng: gen_ba(10, 10, rng)),
+        (GenSpec(model="rh", n=10, k=5.0, gamma=1.5), lambda rng: gen_rh(10, 5.0, 1.5, rng)),
+    ],
+)
+def test_generators_raise_the_spec_messages(spec, build):
+    with pytest.raises(ValueError) as expected:
+        spec.validate()
+    with pytest.raises(ValueError) as raised:
+        build(np.random.default_rng(0))
+    assert str(raised.value) == str(expected.value)
+
+
 def test_spec_validation_errors():
     with pytest.raises(ValueError):
         GenSpec(model="er", n=10, p=1.5).validate()

@@ -93,8 +93,14 @@ def test_round_loop_exact_work(detour, monkeypatch):
     assert bfs_deleted == [set(), {(0, 2), (1, 3)}]
     assert d.mass[3] == pytest.approx(0.05, abs=1e-12) and d.mass_inf == 0.0
 
+    # Round one reaches phi_st = 0.81 >= 0.5, so the pair stops without
+    # retrieving the minimal edges of that round.
     bfs_deleted.clear()
     min_edge_calls.clear()
+    psp_distance_distribution(two_hop(0.9, 0.9), 0, 2, 0.5)
+    assert bfs_deleted == [set()] and min_edge_calls == []
+
+    bfs_deleted.clear()
     psp_distance_distribution(detour, 0, 3, 0.0)
     psp_harmonic_all(detour, 0.0)
     psp_betweenness_all(detour, 0.0)
