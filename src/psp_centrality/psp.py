@@ -39,6 +39,19 @@ from .graph_model import UncertainGraph
 from .possible_worlds import DistanceDistribution
 
 
+# Rounds with more shortest paths than this are summed over the predecessor
+# DAG (``_DagRound``) instead of path by path. Timed per round on seeded
+# uniform-probability grids, the harmonic estimator's enumeration and its DAG
+# sums break even near 64 paths, the betweenness one (which also tallies the
+# inner nodes) near 40. Smaller rounds keep the enumeration and its
+# floating-point results.
+_DP_PATHS = 64
+# Most power sums S_k that ``_DagRound`` adds up for the product of (1 - p)
+# over a round's paths. A round that would need more (its likeliest path is
+# close to certain) is enumerated after all.
+_DP_MAX_TERMS = 256
+_TAIL_RTOL = 2.0**-53  # bound on that series's truncated tail, relative to its sum
+
 # Minimal-probability edge remembered per node during the forward sweep, as a
 # plain (edge, prob, depth) tuple: the sweep builds one per traversed edge, and
 # a NamedTuple there makes the whole PSP run markedly slower. depth is the BFS
@@ -150,6 +163,31 @@ def _hop_table(g: UncertainGraph) -> list[list[int]]:
     return [hop_distances(adj, t) for t in range(g.node_count)]
 
 
+def _round_bounds(g: UncertainGraph) -> list[tuple[list[int], int]]:
+    """Per target t, (t's hop row, least growth of a round's length).
+
+    A later round is at least one hop longer than the last, and two in a
+    bipartite component, where every s-t path has the same parity. A
+    component is bipartite unless an edge joins two nodes at the same hop
+    distance from its lowest node.
+    """
+    hops = _hop_table(g)
+    n = g.node_count
+    root = [-1] * n
+    for r in range(n):
+        if root[r] < 0:
+            for v, d in enumerate(hops[r]):
+                if d >= 0:
+                    root[v] = r
+    odd = set()  # roots of components with an odd cycle
+    for u, nbrs in enumerate(g.adj):
+        row = hops[root[u]]
+        for v, _, _ in nbrs:
+            if row[u] == row[v]:
+                odd.add(root[u])
+    return [(row, 1 if root[t] in odd else 2) for t, row in enumerate(hops)]
+
+
 def retrieve_min_edges(t: int, preds, tags):
     """Backward sweep from t over the predecessor DAG collecting one minimal
     edge per shortest path.
@@ -181,8 +219,15 @@ def retrieve_min_edges(t: int, preds, tags):
     return out
 
 
-def _path_probs(preds, s: int, t: int) -> list[float]:
-    """Existence probabilities of all shortest s-t paths in the predecessor DAG."""
+class _TooManyPaths(Exception):
+    """A path enumeration passed its ``limit``."""
+
+
+def _path_probs(preds, s: int, t: int, limit=math.inf) -> list[float]:
+    """Existence probabilities of all shortest s-t paths in the predecessor DAG.
+
+    Raises ``_TooManyPaths`` as soon as there are more than ``limit``.
+    """
     out = []
     stack = [(t, 1.0)]
     while stack:
@@ -191,13 +236,18 @@ def _path_probs(preds, s: int, t: int) -> list[float]:
             q = prob * p
             if parent == s:
                 out.append(q)
+                if len(out) > limit:
+                    raise _TooManyPaths
             else:
                 stack.append((parent, q))
     return out
 
 
-def _paths_with_inner(preds, s: int, t: int):
-    """(probability, inner nodes) of all shortest s-t paths."""
+def _paths_with_inner(preds, s: int, t: int, limit=math.inf):
+    """(probability, inner nodes) of all shortest s-t paths.
+
+    Raises ``_TooManyPaths`` as soon as there are more than ``limit``.
+    """
     out = []
     stack = [(t, 1.0, ())]
     while stack:
@@ -206,9 +256,99 @@ def _paths_with_inner(preds, s: int, t: int):
             q = prob * p
             if parent == s:
                 out.append((q, inner))
+                if len(out) > limit:
+                    raise _TooManyPaths
             else:
                 stack.append((parent, q, (parent,) + inner))
     return out
+
+
+class _DagRound:
+    """Sums over every shortest path of one round, by dynamic programming over
+    its predecessor DAG: O(K |DAG|) time and O(|DAG|) memory, whatever the
+    number of paths.
+
+    ``nodes`` lists the DAG in the order of a backward walk from t over
+    ``preds``: t first, then by falling level, s last. ``edges`` holds one
+    (child index, parent index, edge probability) per DAG edge, the edges
+    into a node after those into any lower-level node, so one pass in list
+    order runs from s to t. ``fwd[i]`` is the summed probability of the
+    s -> nodes[i] paths, so ``s1`` is that of the round's paths.
+
+    ``survival`` is the product of (1 - p) over the round's paths, from
+    ln(prod) = -sum_k S_k / k. With q the probability of the likeliest path,
+    the terms after the K-th sum to at most s1 q^K / ((K + 1)(1 - q)); terms
+    are added until that bound drops to 2^-53 of the partial sum. A certain
+    path (q = 1) makes it exactly 0. It is None when, with s1 standing in for
+    the partial sum, the bound would need more than ``_DP_MAX_TERMS`` terms;
+    the round must then be enumerated.
+    """
+
+    __slots__ = ("nodes", "edges", "fwd", "s1", "survival")
+
+    def __init__(self, preds, s: int, t: int):
+        nodes = [t]
+        index = {t: 0}
+        edges = []
+        for v, node in enumerate(nodes):
+            if node != s:
+                for parent, p in preds[node]:
+                    u = index.get(parent)
+                    if u is None:
+                        u = index[parent] = len(nodes)
+                        nodes.append(parent)
+                    edges.append((v, u, p))
+        edges.reverse()
+        fwd = [0.0] * len(nodes)
+        best = fwd[:]  # probability of the likeliest s -> v path
+        fwd[-1] = best[-1] = 1.0
+        for v, u, p in edges:
+            fwd[v] += fwd[u] * p
+            top = best[u] * p
+            if top > best[v]:
+                best[v] = top
+        self.nodes = nodes
+        self.edges = edges
+        self.fwd = fwd
+        self.s1 = fwd[0]
+        self.survival = self._survival(best[0])
+
+    def _survival(self, q: float) -> float | None:
+        if q == 1.0:
+            return 0.0
+        s1 = self.s1
+        gap = 1.0 - q
+        # The partial sum is at least s1, so the loop ends by k = cap unless
+        # q^cap / ((cap + 1)(1 - q)) is above 2^-53.
+        cap = _DP_MAX_TERMS
+        if q**cap > _TAIL_RTOL * (cap + 1) * gap:
+            return None
+        total = s1
+        k = 1
+        while s1 * q**k > _TAIL_RTOL * total * (k + 1) * gap:
+            k += 1
+            total += self._power_sum(k) / k
+        return math.exp(-total)
+
+    def _power_sum(self, k: int) -> float:
+        """S_k, the sum over the round's paths of their probability to the
+        power k: the forward pass with edge weights p ** k."""
+        fwd = [0.0] * len(self.nodes)
+        fwd[-1] = 1.0
+        for v, u, p in self.edges:
+            fwd[v] += fwd[u] * p**k
+        return fwd[0]
+
+    def inner_sums(self):
+        """(v, summed probability of the round's paths through v) for every
+        DAG node v other than s and t: fwd(v) times the summed probability
+        bwd(v) of the v -> t paths (Brandes' accumulation, weighted)."""
+        bwd = [0.0] * len(self.nodes)
+        bwd[0] = 1.0
+        for v, u, p in reversed(self.edges):
+            bwd[u] += bwd[v] * p
+        fwd = self.fwd
+        return [(self.nodes[i], fwd[i] * bwd[i]) for i in range(1, len(bwd) - 1)]
 
 
 def all_shortest_paths_round(
@@ -226,7 +366,7 @@ def all_shortest_paths_round(
     return ExplorationRound(dist[t], _path_probs(preds, s, t), min_edges)
 
 
-def _rounds(g: UncertainGraph, s: int, t: int, done, first=None, hops_to_t=None):
+def _rounds(g: UncertainGraph, s: int, t: int, done, first=None, bound=None):
     """Drive the exploration rounds of one pair; yield (length, preds) per round.
 
     ``done()`` is checked before every round, so the caller's phi test sees
@@ -236,11 +376,13 @@ def _rounds(g: UncertainGraph, s: int, t: int, done, first=None, hops_to_t=None)
     no edges it would not use. Stops when t becomes unreachable.
 
     The all-nodes drivers pass ``first``, the (dist, preds, tags) of a full
-    BFS from s without deletions, which serves as round one, and t's row of
-    the hop table, which bounds every later round: each shortest path lost an
-    edge, so the next length is at least the last one plus 1. Without a hop
-    row (the single-pair API) ``_forward_bfs`` ignores the bound.
+    BFS from s without deletions, which serves as round one, and t's entry
+    of ``_round_bounds``, which bounds every later round: each shortest path
+    lost an edge, so the next length is at least the last one plus the
+    entry's growth. Without it (the single-pair API) ``_forward_bfs`` runs
+    unbounded.
     """
+    hops_to_t, growth = bound or (None, 1)
     deleted = set()
     length = 0
     while not done():
@@ -248,7 +390,7 @@ def _rounds(g: UncertainGraph, s: int, t: int, done, first=None, hops_to_t=None)
             deleted.update(retrieve_min_edges(t, preds, tags))
             first = None
         dist, preds, tags = first or _forward_bfs(
-            g, s, t, deleted, hops_to_t=hops_to_t, bound=length + 1
+            g, s, t, deleted, hops_to_t=hops_to_t, bound=length + growth
         )
         length = dist[t]
         if length < 0:
@@ -256,7 +398,26 @@ def _rounds(g: UncertainGraph, s: int, t: int, done, first=None, hops_to_t=None)
         yield length, preds
 
 
-def _iter_round_masses(g: UncertainGraph, s: int, t: int, phi: float, first=None, hops_to_t=None):
+def _round_mass(preds, s: int, t: int, remaining: float):
+    """(sum of the round's path probabilities, remaining times the product of
+    (1 - Pr) over its paths).
+
+    Up to ``_DP_PATHS`` paths are enumerated; larger rounds are summed over
+    the DAG, unless its series would need too many terms.
+    """
+    try:
+        probs = _path_probs(preds, s, t, _DP_PATHS)
+    except _TooManyPaths:
+        dag = _DagRound(preds, s, t)
+        if dag.survival is not None:
+            return dag.s1, remaining * dag.survival
+        probs = _path_probs(preds, s, t)
+    for p in probs:
+        remaining *= 1.0 - p
+    return sum(probs), remaining
+
+
+def _iter_round_masses(g: UncertainGraph, s: int, t: int, phi: float, first=None, bound=None):
     """Yield (length, probability mass) per exploration round.
 
     Per round the new mass is the product of (1 - Pr) over all previously
@@ -267,17 +428,16 @@ def _iter_round_masses(g: UncertainGraph, s: int, t: int, phi: float, first=None
     """
     remaining = 1.0  # product of (1 - Pr(path)) over every found path
     total = 0.0
-    rounds = _rounds(g, s, t, lambda: 1.0 - remaining >= phi, first, hops_to_t)
+    rounds = _rounds(g, s, t, lambda: 1.0 - remaining >= phi, first, bound)
     for length, preds in rounds:
-        probs = _path_probs(preds, s, t)
-        new_mass = remaining * sum(probs)
+        s1, after = _round_mass(preds, s, t, remaining)
+        new_mass = remaining * s1
         if total + new_mass >= 1.0:
             yield length, 1.0 - total
             return
         yield length, new_mass
         total += new_mass
-        for p in probs:
-            remaining *= 1.0 - p
+        remaining = after
 
 
 def psp_distance_distribution(
@@ -304,7 +464,7 @@ def psp_distance_er(g: UncertainGraph, s: int, t: int, phi: float) -> float:
     return delta / gamma
 
 
-def _pair_gamma_delta(g, s, t, phi, first=None, hops_to_t=None):
+def _pair_gamma_delta(g, s, t, phi, first=None, bound=None):
     """Finite mass (gamma) and its distance-weighted sum (delta) for a pair.
 
     The reciprocal estimated distance is gamma / delta, with 0 for gamma = 0;
@@ -312,14 +472,14 @@ def _pair_gamma_delta(g, s, t, phi, first=None, hops_to_t=None):
     """
     gamma = 0.0
     delta = 0.0
-    for k, m in _iter_round_masses(g, s, t, phi, first, hops_to_t):
+    for k, m in _iter_round_masses(g, s, t, phi, first, bound):
         gamma += m
         delta += k * m
     return gamma, delta
 
 
-def _reachable_targets(g: UncertainGraph, hops, s: int):
-    """Yield (t, round one, t's hop row) for every target t > s that s reaches.
+def _reachable_targets(g: UncertainGraph, bounds, s: int):
+    """Yield (t, round one, t's round bound) for every target t > s that s reaches.
 
     One BFS from s without deletions serves round one of every target; the
     other targets never connect, so they get no BFS at all.
@@ -328,29 +488,29 @@ def _reachable_targets(g: UncertainGraph, hops, s: int):
     dist = first[0]
     for t in range(s + 1, g.node_count):
         if dist[t] >= 0:
-            yield t, first, hops[t]
+            yield t, first, bounds[t]
 
 
 def _sum_source_tasks(g: UncertainGraph, phi: float, workers: int, task) -> np.ndarray:
-    """Sum ``task(g, phi, hops, s)`` over the sources s < n - 1, in source order.
+    """Sum ``task(g, phi, bounds, s)`` over the sources s < n - 1, in source order.
 
-    At phi 0 no pair runs a round: there are no sources, so no hop table is
-    built and no pool starts. Otherwise the hop table is built once per call.
+    At phi 0 no pair runs a round: there are no sources, so no round bounds
+    are built and no pool starts. Otherwise they are built once per call.
     """
     require_phi(phi)
     sources = range(g.node_count - 1) if phi > 0.0 else range(0)
-    hops = _hop_table(g) if sources else None
-    partials = _parallel.run_ordered(functools.partial(task, g, phi, hops), sources, workers)
+    bounds = _round_bounds(g) if sources else None
+    partials = _parallel.run_ordered(functools.partial(task, g, phi, bounds), sources, workers)
     scores = np.zeros(g.node_count)
     for part in partials:
         scores += part
     return scores
 
 
-def _harmonic_source_task(g: UncertainGraph, phi: float, hops, s: int) -> np.ndarray:
+def _harmonic_source_task(g: UncertainGraph, phi: float, bounds, s: int) -> np.ndarray:
     partial = np.zeros(g.node_count)
-    for t, first, hops_to_t in _reachable_targets(g, hops, s):
-        gamma, delta = _pair_gamma_delta(g, s, t, phi, first, hops_to_t)
+    for t, first, bound in _reachable_targets(g, bounds, s):
+        gamma, delta = _pair_gamma_delta(g, s, t, phi, first, bound)
         if gamma > 0.0:
             recip = gamma / delta
             partial[s] += recip
@@ -370,22 +530,42 @@ def psp_harmonic_all(g: UncertainGraph, phi: float, workers: int = 1) -> Central
     return CentralityVector(scores, method="psp-harmonic", params={"phi": phi})
 
 
-def _betweenness_source_task(g: UncertainGraph, phi: float, hops, s: int) -> np.ndarray:
+def _add_round_shares(preds, s: int, t: int, sigma: float, remaining: float, shares):
+    """Add each path's relative probability (remaining x its probability) to
+    ``sigma`` and to the share of each inner node in ``shares``; return
+    (sigma, remaining times the product of (1 - Pr) over the paths).
+
+    Up to ``_DP_PATHS`` paths are enumerated; larger rounds are summed over
+    the DAG, unless its series would need too many terms.
+    """
+    try:
+        paths = _paths_with_inner(preds, s, t, _DP_PATHS)
+    except _TooManyPaths:
+        dag = _DagRound(preds, s, t)
+        if dag.survival is not None:
+            for v, through in dag.inner_sums():
+                shares[v] = shares.get(v, 0.0) + remaining * through
+            return sigma + remaining * dag.s1, remaining * dag.survival
+        paths = _paths_with_inner(preds, s, t)
+    after = remaining
+    for prob, inner in paths:
+        rel = prob * remaining
+        sigma += rel
+        after *= 1.0 - prob
+        for v in inner:
+            shares[v] = shares.get(v, 0.0) + rel
+    return sigma, after
+
+
+def _betweenness_source_task(g: UncertainGraph, phi: float, bounds, s: int) -> np.ndarray:
     partial = np.zeros(g.node_count)
-    for t, first, hops_to_t in _reachable_targets(g, hops, s):
+    for t, first, bound in _reachable_targets(g, bounds, s):
         shares = {}  # inner node -> summed relative path probability
         sigma = 0.0
         remaining = 1.0
-        rounds = _rounds(g, s, t, lambda: 1.0 - remaining >= phi, first, hops_to_t)
+        rounds = _rounds(g, s, t, lambda: 1.0 - remaining >= phi, first, bound)
         for _, preds in rounds:
-            after = remaining
-            for prob, inner in _paths_with_inner(preds, s, t):
-                rel = prob * remaining
-                sigma += rel
-                after *= 1.0 - prob
-                for v in inner:
-                    shares[v] = shares.get(v, 0.0) + rel
-            remaining = after
+            sigma, remaining = _add_round_shares(preds, s, t, sigma, remaining, shares)
         if sigma > 0.0:
             phi_st = 1.0 - remaining
             for v, share in shares.items():

@@ -1,5 +1,6 @@
 import inspect
 import math
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -325,6 +326,200 @@ def test_later_rounds_reach_only_nodes_within_the_bound(monkeypatch):
         psp_harmonic_all(g, 1.0)
         psp_betweenness_all(g, 1.0)
     assert checked > 100
+
+
+def grid(side, probs):
+    """side x side grid, edges in row-major order, with the given probabilities."""
+    edges = []
+    for v in range(side * side):
+        if v % side + 1 < side:
+            edges.append((v, v + 1))
+        if v + side < side * side:
+            edges.append((v, v + side))
+    return UncertainGraph(side * side, edges, np.broadcast_to(probs, len(edges)))
+
+
+def seeded_grid(side, seed):
+    return grid(side, np.random.default_rng(seed).uniform(0.0, 1.0, 2 * side * (side - 1)))
+
+
+def test_round_bounds_grow_by_two_in_bipartite_components():
+    # A 4-cycle (nodes 0-3) beside a triangle with a tail (nodes 4-7), and an
+    # isolated node 8.
+    edges = [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (5, 6), (4, 6), (6, 7)]
+    g = UncertainGraph(9, edges, [0.5] * len(edges))
+    bounds = psp._round_bounds(g)
+    assert [row for row, _ in bounds] == psp._hop_table(g)
+    assert [growth for _, growth in bounds] == [2, 2, 2, 2, 1, 1, 1, 1, 2]
+    assert {growth for _, growth in psp._round_bounds(seeded_grid(5, 0))} == {2}
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_bipartite_later_rounds_find_t_within_their_first_bound(seed, monkeypatch):
+    # On a grid every s-t path has the parity of the first round, so a later
+    # round starts at bound = last length + 2 and, on a 4 x 4 grid, finds t
+    # without widening the bound. (On larger grids a round can grow by 4 or
+    # more; its sweep then reruns once with a wider bound.)
+    checked = 0
+    real_bfs = psp._forward_bfs
+
+    def checking_bfs(g, s, t, deleted, **kwargs):
+        nonlocal checked
+        dist, preds, tags = real_bfs(g, s, t, deleted, **kwargs)
+        if kwargs.get("hops_to_t") is not None and dist[t] >= 0:
+            assert dist[t] <= kwargs["bound"]
+            checked += 1
+        return dist, preds, tags
+
+    monkeypatch.setattr(psp, "_forward_bfs", checking_bfs)
+    g = seeded_grid(4, seed)
+    psp_harmonic_all(g, 1.0)
+    psp_betweenness_all(g, 1.0)
+    assert checked > 100
+
+
+def _count_dag_rounds(monkeypatch):
+    """Count the rounds summed over the DAG from here on."""
+    built = []
+    real = psp._DagRound
+
+    def counting(*args):
+        dag = real(*args)
+        built.append(dag.survival is not None)
+        return dag
+
+    monkeypatch.setattr(psp, "_DagRound", counting)
+    return built
+
+
+def _dense_er_graph():
+    """45 nodes at edge density 0.25: 74 of its rounds pass the DP threshold."""
+    rng = np.random.default_rng(7)
+    g = random_uncertain_graph(rng, n=45, edge_prob=0.25)
+    return UncertainGraph(45, list(g.edges), rng.uniform(0.05, 0.95, g.edge_count))
+
+
+def _rounds_past_threshold(g, pairs):
+    """(preds, s, t) of every round of the given pairs, explored until they
+    disconnect, that has more than ``_DP_PATHS`` shortest paths."""
+    for s, t in pairs:
+        for _, preds in psp._rounds(g, s, t, lambda: False):
+            try:
+                _path_probs(preds, s, t, psp._DP_PATHS)
+            except psp._TooManyPaths:
+                yield preds, s, t
+
+
+def test_path_enumeration_gives_up_past_its_limit(detour):
+    _, preds, _ = _forward_bfs(detour, 0, 3, frozenset())
+    assert len(_path_probs(preds, 0, 3, 2)) == len(_paths_with_inner(preds, 0, 3, 2)) == 2
+    for enumerate_paths in (_path_probs, _paths_with_inner):
+        with pytest.raises(psp._TooManyPaths):
+            enumerate_paths(preds, 0, 3, 1)
+
+
+# Per round the DAG sums S_1 and prod(1 - p) agree with exact sums over the
+# enumerated path probabilities (math.fsum, and log1p summed by math.fsum)
+# to this relative tolerance.
+DAG_ROUND_RTOL = 1e-13
+
+
+def test_dag_round_sums_match_enumeration():
+    checked = 0
+    for g in [seeded_grid(side, side) for side in (6, 7)] + [_dense_er_graph()]:
+        pairs = [(s, t) for s in range(g.node_count) for t in range(s + 1, g.node_count)]
+        for preds, s, t in _rounds_past_threshold(g, pairs):
+            probs = _path_probs(preds, s, t)
+            dag = psp._DagRound(preds, s, t)
+            assert dag.s1 == pytest.approx(math.fsum(probs), rel=DAG_ROUND_RTOL, abs=0.0)
+            survival = math.exp(math.fsum(math.log1p(-p) for p in probs))
+            assert dag.survival == pytest.approx(survival, rel=DAG_ROUND_RTOL, abs=0.0)
+            inner = {}
+            for p, nodes in _paths_with_inner(preds, s, t):
+                for v in nodes:
+                    inner.setdefault(v, []).append(p)
+            through = dict(dag.inner_sums())
+            assert through.keys() == inner.keys()
+            for v, ps in inner.items():
+                assert through[v] == pytest.approx(math.fsum(ps), rel=DAG_ROUND_RTOL, abs=0.0)
+            checked += 1
+    assert checked > 100
+
+
+@pytest.mark.parametrize("phi", (0.8, 1.0))
+def test_dag_rounds_within_tolerance_of_the_enumeration_reference(phi, monkeypatch):
+    # Rounds past the DP threshold are summed in another order than the
+    # enumeration reference; the scores must stay within 1e-12 of it.
+    built = _count_dag_rounds(monkeypatch)
+    for g in [seeded_grid(side, side) for side in (6, 7, 8)] + [_dense_er_graph()]:
+        built.clear()
+        h = psp_harmonic_all(g, phi).scores
+        b = psp_betweenness_all(g, phi).scores
+        assert sum(built) > 0
+        assert np.max(np.abs(h - _reference_harmonic(g, phi))) <= 1e-12
+        assert np.max(np.abs(b - _reference_betweenness(g, phi))) <= 1e-12
+
+
+def test_dag_round_with_a_certain_path_leaves_nothing_remaining():
+    # 5 x 5 grid, corner to corner: 70 shortest paths. Every edge of the
+    # path along the top row and down the right column is certain.
+    top_right = [(u < 5 and v < 5) or (u % 5 == 4 and v % 5 == 4) for u, v in grid(5, 0.5).edges]
+    g = grid(5, np.where(top_right, 1.0, 0.5))
+    _, preds, _ = _forward_bfs(g, 0, 24, frozenset())
+    assert len(_path_probs(preds, 0, 24)) == 70
+    dag = psp._DagRound(preds, 0, 24)
+    assert dag.survival == 0.0
+    assert dag.s1 == pytest.approx(math.fsum(_path_probs(preds, 0, 24)), rel=DAG_ROUND_RTOL)
+    assert psp._round_mass(preds, 0, 24, 0.5) == (dag.s1, 0.0)
+
+
+def test_dag_round_falls_back_to_enumeration_when_the_series_is_too_long():
+    # Every path of length 8 exists with probability 0.999 ** 8 = 0.992, so
+    # the series needs far more than _DP_MAX_TERMS terms: the round is
+    # enumerated, in the enumeration's own order of operations.
+    g = grid(5, 0.999)
+    _, preds, _ = _forward_bfs(g, 0, 24, frozenset())
+    probs = _path_probs(preds, 0, 24)
+    assert len(probs) > psp._DP_PATHS
+    assert psp._DagRound(preds, 0, 24).survival is None
+    remaining = 0.75
+    for p in probs:
+        remaining *= 1.0 - p
+    assert psp._round_mass(preds, 0, 24, 0.75) == (sum(probs), remaining)
+    shares = {}
+    sigma, after = psp._add_round_shares(preds, 0, 24, 0.0, 0.75, shares)
+    assert after == remaining and sigma == pytest.approx(0.75 * sum(probs), rel=1e-15)
+
+
+def test_dag_shares_match_networkx_betweenness_on_a_certain_grid(monkeypatch):
+    # With every p = 1 the first round is the whole story and each node's
+    # share is Brandes' sigma_sv sigma_vt / sigma_st. The corner pair of a
+    # 7 x 7 grid has 924 shortest paths, so the DAG route runs.
+    nx = pytest.importorskip("networkx")
+    built = _count_dag_rounds(monkeypatch)
+    g = grid(7, 1.0)
+    scores = psp_betweenness_all(g, 1.0).scores
+    assert sum(built) > 0
+    expected = nx.betweenness_centrality(nx.grid_2d_graph(7, 7), normalized=True)
+    expected = np.array([expected[divmod(v, 7)] for v in range(49)])
+    assert np.max(np.abs(scores - expected)) <= 1e-12
+
+
+def test_large_grid_round_runs_in_bounded_memory(monkeypatch):
+    # The corner pair of a 13 x 13 grid has 2,704,156 shortest paths in its
+    # first round; listing them took about 213 MB. Summed over the DAG, the
+    # whole call stays under a 1 MB budget.
+    built = _count_dag_rounds(monkeypatch)
+    g = seeded_grid(13, 2023)
+    tracemalloc.start()
+    try:
+        d = psp_distance_distribution(g, 0, 168, 0.8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert built == [True]
+    assert peak < 1_000_000
+    assert math.fsum(d.mass) + d.mass_inf == pytest.approx(1.0, abs=1e-12)
 
 
 def test_min_edge_closest_to_target_when_last_edge_minimal():
