@@ -46,11 +46,7 @@ from .possible_worlds import DistanceDistribution
 # inner nodes) near 40. Smaller rounds keep the enumeration and its
 # floating-point results.
 _DP_PATHS = 64
-# Most power sums S_k that ``_DagRound`` adds up for the product of (1 - p)
-# over a round's paths. A round that would need more (its likeliest path is
-# close to certain) is enumerated after all.
-_DP_MAX_TERMS = 256
-_TAIL_RTOL = 2.0**-53  # bound on that series's truncated tail, relative to its sum
+_TAIL_RTOL = 2.0**-53  # bound on ``_DagRound``'s truncated series, relative to its sum
 
 # Minimal-probability edge remembered per node during the forward sweep, as a
 # plain (edge, prob, depth) tuple: the sweep builds one per traversed edge, and
@@ -166,26 +162,15 @@ def _hop_table(g: UncertainGraph) -> list[list[int]]:
 def _round_bounds(g: UncertainGraph) -> list[tuple[list[int], int]]:
     """Per target t, (t's hop row, least growth of a round's length).
 
-    A later round is at least one hop longer than the last, and two in a
-    bipartite component, where every s-t path has the same parity. A
-    component is bipartite unless an edge joins two nodes at the same hop
-    distance from its lowest node.
+    A later round is at least one hop longer than the last, and two when t's
+    component is bipartite, where every s-t path has the same parity. It is
+    bipartite unless an edge joins two nodes at the same hop distance from t.
     """
-    hops = _hop_table(g)
-    n = g.node_count
-    root = [-1] * n
-    for r in range(n):
-        if root[r] < 0:
-            for v, d in enumerate(hops[r]):
-                if d >= 0:
-                    root[v] = r
-    odd = set()  # roots of components with an odd cycle
-    for u, nbrs in enumerate(g.adj):
-        row = hops[root[u]]
-        for v, _, _ in nbrs:
-            if row[u] == row[v]:
-                odd.add(root[u])
-    return [(row, 1 if root[t] in odd else 2) for t, row in enumerate(hops)]
+    edges = {e for nbrs in g.adj for _, _, e in nbrs}
+    return [
+        (row, 1 if any(row[u] == row[v] >= 0 for u, v in edges) else 2)
+        for row in _hop_table(g)
+    ]
 
 
 def retrieve_min_edges(t: int, preds, tags):
@@ -275,13 +260,16 @@ class _DagRound:
     order runs from s to t. ``fwd[i]`` is the summed probability of the
     s -> nodes[i] paths, so ``s1`` is that of the round's paths.
 
-    ``survival`` is the product of (1 - p) over the round's paths, from
-    ln(prod) = -sum_k S_k / k. With q the probability of the likeliest path,
-    the terms after the K-th sum to at most s1 q^K / ((K + 1)(1 - q)); terms
-    are added until that bound drops to 2^-53 of the partial sum. A certain
-    path (q = 1) makes it exactly 0. It is None when, with s1 standing in for
-    the partial sum, the bound would need more than ``_DP_MAX_TERMS`` terms;
-    the round must then be enumerated.
+    ``survival`` is the product of (1 - p) over the round's paths. It is at
+    most exp(-s1), so it is 0 when that underflows (s1 above about 745).
+    Otherwise the paths above 1/2, fewer than 2 s1 of them, are listed by a
+    walk from t that follows an edge only while the likeliest completion of
+    its path stays above 1/2, and their (1 - p) are multiplied. For the
+    rest, ln(prod) = -sum_k S_k / k, with S_k the sum of the unlisted paths'
+    probabilities to the power k. With q the probability of the likeliest
+    unlisted path (at most 1/2 when any path was listed), the terms after
+    the K-th sum to at most S_1 q^K / ((K + 1)(1 - q)); terms are added
+    until that bound drops to 2^-53 of the partial sum.
     """
 
     __slots__ = ("nodes", "edges", "fwd", "s1", "survival")
@@ -311,24 +299,36 @@ class _DagRound:
         self.edges = edges
         self.fwd = fwd
         self.s1 = fwd[0]
-        self.survival = self._survival(best[0])
+        self.survival = self._survival(preds, s, index, best)
 
-    def _survival(self, q: float) -> float | None:
-        if q == 1.0:
-            return 0.0
+    def _survival(self, preds, s: int, index, best) -> float:
         s1 = self.s1
-        gap = 1.0 - q
-        # The partial sum is at least s1, so the loop ends by k = cap unless
-        # q^cap / ((cap + 1)(1 - q)) is above 2^-53.
-        cap = _DP_MAX_TERMS
-        if q**cap > _TAIL_RTOL * (cap + 1) * gap:
-            return None
+        if math.exp(-s1) == 0.0:
+            return 0.0
+        listed = []  # probabilities of the paths above 1/2
+        complete = best[0] > 0.5  # until a path at most 1/2 is passed over
+        stack = [(self.nodes[0], 1.0)] if complete else []
+        while stack:
+            node, prob = stack.pop()
+            for parent, p in preds[node]:
+                r = prob * p
+                if r * best[index[parent]] <= 0.5:
+                    complete = False
+                elif parent == s:
+                    listed.append(r)
+                else:
+                    stack.append((parent, r))
+        product = math.prod(1.0 - p for p in listed)
+        if complete:
+            return product
+        q = min(best[0], 0.5)  # bounds every unlisted path
+        s1 -= sum(listed)
         total = s1
         k = 1
-        while s1 * q**k > _TAIL_RTOL * total * (k + 1) * gap:
+        while s1 * q**k > _TAIL_RTOL * total * (k + 1) * (1.0 - q):
             k += 1
-            total += self._power_sum(k) / k
-        return math.exp(-total)
+            total += (self._power_sum(k) - sum(p**k for p in listed)) / k
+        return product * math.exp(-total)
 
     def _power_sum(self, k: int) -> float:
         """S_k, the sum over the round's paths of their probability to the
@@ -403,15 +403,13 @@ def _round_mass(preds, s: int, t: int, remaining: float):
     (1 - Pr) over its paths).
 
     Up to ``_DP_PATHS`` paths are enumerated; larger rounds are summed over
-    the DAG, unless its series would need too many terms.
+    the DAG.
     """
     try:
         probs = _path_probs(preds, s, t, _DP_PATHS)
     except _TooManyPaths:
         dag = _DagRound(preds, s, t)
-        if dag.survival is not None:
-            return dag.s1, remaining * dag.survival
-        probs = _path_probs(preds, s, t)
+        return dag.s1, remaining * dag.survival
     for p in probs:
         remaining *= 1.0 - p
     return sum(probs), remaining
@@ -536,17 +534,15 @@ def _add_round_shares(preds, s: int, t: int, sigma: float, remaining: float, sha
     (sigma, remaining times the product of (1 - Pr) over the paths).
 
     Up to ``_DP_PATHS`` paths are enumerated; larger rounds are summed over
-    the DAG, unless its series would need too many terms.
+    the DAG.
     """
     try:
         paths = _paths_with_inner(preds, s, t, _DP_PATHS)
     except _TooManyPaths:
         dag = _DagRound(preds, s, t)
-        if dag.survival is not None:
-            for v, through in dag.inner_sums():
-                shares[v] = shares.get(v, 0.0) + remaining * through
-            return sigma + remaining * dag.s1, remaining * dag.survival
-        paths = _paths_with_inner(preds, s, t)
+        for v, through in dag.inner_sums():
+            shares[v] = shares.get(v, 0.0) + remaining * through
+        return sigma + remaining * dag.s1, remaining * dag.survival
     after = remaining
     for prob, inner in paths:
         rel = prob * remaining

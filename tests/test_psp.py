@@ -1,5 +1,6 @@
 import inspect
 import math
+import sys
 import tracemalloc
 from collections import deque
 
@@ -345,9 +346,10 @@ def seeded_grid(side, seed):
 
 def test_round_bounds_grow_by_two_in_bipartite_components():
     # A 4-cycle (nodes 0-3) beside a triangle with a tail (nodes 4-7), and an
-    # isolated node 8.
-    edges = [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (5, 6), (4, 6), (6, 7)]
-    g = UncertainGraph(9, edges, [0.5] * len(edges))
+    # isolated node 8. The chord (1, 3) has probability 0, so it is no edge
+    # and leaves the 4-cycle bipartite.
+    edges = [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (5, 6), (4, 6), (6, 7), (1, 3)]
+    g = UncertainGraph(9, edges, [0.5] * 8 + [0.0])
     bounds = psp._round_bounds(g)
     assert [row for row, _ in bounds] == psp._hop_table(g)
     assert [growth for _, growth in bounds] == [2, 2, 2, 2, 1, 1, 1, 1, 2]
@@ -422,6 +424,20 @@ def test_path_enumeration_gives_up_past_its_limit(detour):
 # enumerated path probabilities (math.fsum, and log1p summed by math.fsum)
 # to this relative tolerance.
 DAG_ROUND_RTOL = 1e-13
+# When the likeliest path is above 1/2, ln prod(1 - p) agrees with that exact
+# sum to this tolerance relative to max(1, |ln prod(1 - p)|), and prod(1 - p)
+# to DAG_ROUND_RTOL wherever it is above 1e-12.
+DAG_LN_SURVIVAL_RTOL = 1e-14
+
+
+def _assert_survival_accurate(survival, probs):
+    ln = math.fsum(math.log1p(-p) for p in probs)
+    if survival < sys.float_info.min:  # underflowed, like the exact product
+        assert ln < math.log(sys.float_info.min)
+        return
+    assert abs(math.log(survival) - ln) <= DAG_LN_SURVIVAL_RTOL * max(1.0, abs(ln))
+    if ln > math.log(1e-12):
+        assert survival == pytest.approx(math.exp(ln), rel=DAG_ROUND_RTOL, abs=0.0)
 
 
 def test_dag_round_sums_match_enumeration():
@@ -473,22 +489,73 @@ def test_dag_round_with_a_certain_path_leaves_nothing_remaining():
     assert psp._round_mass(preds, 0, 24, 0.5) == (dag.s1, 0.0)
 
 
-def test_dag_round_falls_back_to_enumeration_when_the_series_is_too_long():
-    # Every path of length 8 exists with probability 0.999 ** 8 = 0.992, so
-    # the series needs far more than _DP_MAX_TERMS terms: the round is
-    # enumerated, in the enumeration's own order of operations.
+def test_dag_round_lists_paths_above_one_half():
+    # Every path of length 8 exists with probability 0.999 ** 8 = 0.992: all
+    # 70 are listed and the product of their (1 - p) needs no series. Both
+    # drivers' round functions take the DAG's sums.
     g = grid(5, 0.999)
     _, preds, _ = _forward_bfs(g, 0, 24, frozenset())
     probs = _path_probs(preds, 0, 24)
     assert len(probs) > psp._DP_PATHS
-    assert psp._DagRound(preds, 0, 24).survival is None
-    remaining = 0.75
-    for p in probs:
-        remaining *= 1.0 - p
-    assert psp._round_mass(preds, 0, 24, 0.75) == (sum(probs), remaining)
+    dag = psp._DagRound(preds, 0, 24)
+    _assert_survival_accurate(dag.survival, probs)
+    assert psp._round_mass(preds, 0, 24, 0.75) == (dag.s1, 0.75 * dag.survival)
     shares = {}
     sigma, after = psp._add_round_shares(preds, 0, 24, 0.0, 0.75, shares)
-    assert after == remaining and sigma == pytest.approx(0.75 * sum(probs), rel=1e-15)
+    assert (sigma, after) == (0.75 * dag.s1, 0.75 * dag.survival)
+    assert shares == {v: 0.75 * through for v, through in dag.inner_sums()}
+
+
+def _likely_grid(side, lo, seed):
+    """side x side grid with p uniform in [lo, 1), about one edge in eight
+    reset to a p uniform in [0, 1/2)."""
+    rng = np.random.default_rng(seed)
+    m = 2 * side * (side - 1)
+    probs = rng.uniform(lo, 1.0, m)
+    reset = rng.random(m) < 0.125
+    probs[reset] = rng.uniform(0.0, 0.5, int(reset.sum()))
+    return grid(side, probs)
+
+
+def test_dag_round_survival_accurate_when_a_path_is_above_one_half():
+    # Every round past the DP threshold whose likeliest path is above 1/2,
+    # some of whose products underflow.
+    checked = underflows = 0
+    for lo in (0.3, 0.5, 0.7, 0.9, 0.99, 0.999):
+        for side in (6, 7):
+            g = _likely_grid(side, lo, side)
+            pairs = [(s, t) for s in range(g.node_count) for t in range(s + 1, g.node_count)]
+            for preds, s, t in _rounds_past_threshold(g, pairs):
+                probs = _path_probs(preds, s, t)
+                if max(probs) > 0.5:
+                    survival = psp._DagRound(preds, s, t).survival
+                    _assert_survival_accurate(survival, probs)
+                    checked += 1
+                    underflows += survival < sys.float_info.min
+    assert checked > 500 and underflows > 0
+
+
+def test_near_certain_grid_enumerates_no_round_past_the_threshold(monkeypatch):
+    # p in [0.995, 1): the likeliest path of most large rounds is close to
+    # certain. No round may be listed in full past _DP_PATHS paths.
+    g = grid(7, np.random.default_rng(7).uniform(0.995, 1.0, 84))
+    built = _count_dag_rounds(monkeypatch)
+    largest = []
+    for name in ("_path_probs", "_paths_with_inner"):
+        real = getattr(psp, name)
+
+        def recording(*args, real=real):
+            paths = real(*args)
+            largest.append(len(paths))
+            return paths
+
+        monkeypatch.setattr(psp, name, recording)
+    h = psp_harmonic_all(g, 0.8).scores
+    b = psp_betweenness_all(g, 0.8).scores
+    assert sum(built) > 0 and max(largest) <= psp._DP_PATHS
+    monkeypatch.undo()
+    assert np.max(np.abs(h - _reference_harmonic(g, 0.8))) <= 1e-12
+    assert np.max(np.abs(b - _reference_betweenness(g, 0.8))) <= 1e-12
 
 
 def test_dag_shares_match_networkx_betweenness_on_a_certain_grid(monkeypatch):
