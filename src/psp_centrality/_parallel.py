@@ -29,7 +29,8 @@ def run_ordered(fn, tasks, workers):
     """Map fn over tasks, returning the results in task order.
 
     ``workers`` must be >= 1, even when there is nothing to run. With one
-    worker (or at most one task) everything runs in-process.
+    worker (or at most one task) everything runs in-process; otherwise the
+    pool forks at most one worker per task.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -38,7 +39,7 @@ def run_ordered(fn, tasks, workers):
         return [fn(t) for t in tasks]
     ctx = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(
-        max_workers=workers,
+        max_workers=min(workers, len(tasks)),
         mp_context=ctx,
         initializer=_set_worker_fn,
         initargs=(fn,),

@@ -76,6 +76,12 @@ def require_phi(phi: float) -> None:
         raise ValueError("phi must lie in [0, 1]")
 
 
+def require_seed(seed: int) -> None:
+    """Raise ValueError unless the random seed is >= 0, as numpy requires."""
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
+
+
 def hop_distances(adj, source: int) -> list[int]:
     """Breadth-first hop distance from ``source`` over neighbour lists; -1 = unreachable."""
     dist = [-1] * len(adj)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _parallel
-from .deterministic import require_phi
+from .deterministic import require_phi, require_seed
 from .evaluation import ExperimentReport, compare_runs, run_timed, write_reports_csv
 from .generators import GenSpec, generate
 from .graph_model import UncertainGraph
@@ -117,8 +117,10 @@ def _sweep_cell(cfg: SweepSettings, task) -> list[ExperimentReport]:
 def phi_sweep(settings: SweepSettings) -> list[ExperimentReport]:
     """Run the sweep; one report per (graph, measure, phi), in fixed order.
 
-    Every phi of the grid is checked before any graph is generated.
+    The seed and every phi of the grid are checked before any graph is
+    generated.
     """
+    require_seed(settings.seed)
     for phi in settings.phi_grid:
         require_phi(phi)
     tasks = [

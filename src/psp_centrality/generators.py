@@ -14,6 +14,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.optimize import brentq
 
+from .deterministic import require_seed
 from .graph_model import UncertainGraph
 
 
@@ -40,6 +41,7 @@ class GenSpec:
         """
         if self.n < 1:
             raise ValueError("n must be >= 1")
+        require_seed(self.seed)
         if self.model == "er":
             if self.p is None or not 0.0 <= self.p <= 1.0:
                 raise ValueError("er needs p in [0, 1]")

@@ -20,6 +20,7 @@ from .deterministic import (
     betweenness_scores_from_adjacency,
     harmonic_scores_from_adjacency,
     require_nodes,
+    require_seed,
 )
 from .graph_model import UncertainGraph
 
@@ -41,6 +42,7 @@ class McConfig:
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
+        require_seed(self.master_seed)
 
 
 def _sample_world_codes(g: UncertainGraph, cfg: McConfig):

@@ -85,15 +85,17 @@ def _forward_bfs(g: UncertainGraph, s: int, t: int, deleted, *, hops_to_t=None, 
 
     With ``hops_to_t`` (hop distance to t in the graph without deletions) a
     node found at level d is enqueued only when d + hops_to_t[node] <= bound.
-    If t is not reached, the bound grows to the smallest rejected value and
-    the sweep reruns; if nothing was rejected, t is unreachable. Deletions
-    only lengthen paths, so a node on a shortest s-t path passes whenever
-    bound >= that length, and so does every shortest-path predecessor of a
-    node that passes (hops change by at most 1 per edge). The admitted nodes
-    are thus found at their true levels and in the unbounded queue order, so
-    dist, preds and tags agree with the unbounded sweep on every node of the
-    shortest-path DAG, which is all that path enumeration and
-    ``retrieve_min_edges`` read.
+    Deletions only lengthen paths, so a node on a shortest s-t path passes
+    whenever bound >= that length, and so does every shortest-path
+    predecessor of a node that passes (hops change by at most 1 per edge).
+    The admitted nodes are thus found at their true levels and in the
+    unbounded queue order, so when t is reached, dist, preds and tags agree
+    with the unbounded sweep on every node of the shortest-path predecessor
+    DAG, which is all that path enumeration and ``retrieve_min_edges`` read.
+    A bounded sweep that misses t after rejecting a node sweeps once more
+    without the bound; that second sweep is the unbounded sweep itself, so
+    its results agree on every node, and every call sweeps at most twice. If
+    nothing was rejected, the bound cut nothing and t is unreachable.
     """
     n = g.node_count
     adj = g.adj
@@ -104,7 +106,7 @@ def _forward_bfs(g: UncertainGraph, s: int, t: int, deleted, *, hops_to_t=None, 
         tags = [_NO_TAG] * n
         queue = deque([s])
         t_dist = -1
-        rejected = math.inf  # smallest level + hops over the rejected nodes
+        rejected = False
         while queue:
             curr = queue.popleft()
             d_curr = dist[curr]
@@ -118,12 +120,9 @@ def _forward_bfs(g: UncertainGraph, s: int, t: int, deleted, *, hops_to_t=None, 
                     continue
                 d_child = dist[child]
                 if d_child < 0:
-                    if hops_to_t is not None:
-                        f = d_next + hops_to_t[child]
-                        if f > bound:
-                            if f < rejected:
-                                rejected = f
-                            continue
+                    if hops_to_t is not None and d_next + hops_to_t[child] > bound:
+                        rejected = True
+                        continue
                     dist[child] = d_next
                     preds[child] = [(curr, p)]
                     queue.append(child)
@@ -143,9 +142,9 @@ def _forward_bfs(g: UncertainGraph, s: int, t: int, deleted, *, hops_to_t=None, 
                         tags[child] = ctag
                     elif cprob == chprob and ctag[2] > chtag[2]:
                         tags[child] = ctag
-        if t_dist >= 0 or rejected == math.inf:
+        if t_dist >= 0 or not rejected:
             return dist, preds, tags
-        bound = rejected
+        hops_to_t = None
 
 
 def _hop_table(g: UncertainGraph) -> list[list[int]]:
@@ -266,10 +265,14 @@ class _DagRound:
     walk from t that follows an edge only while the likeliest completion of
     its path stays above 1/2, and their (1 - p) are multiplied. For the
     rest, ln(prod) = -sum_k S_k / k, with S_k the sum of the unlisted paths'
-    probabilities to the power k. With q the probability of the likeliest
-    unlisted path (at most 1/2 when any path was listed), the terms after
-    the K-th sum to at most S_1 q^K / ((K + 1)(1 - q)); terms are added
-    until that bound drops to 2^-53 of the partial sum.
+    probabilities to the power k. Every unlisted path is at most q: the
+    likeliest path when no path is above 1/2, else the largest likeliest
+    completion of the prefixes the walk stopped at (at most 1/2, and 0 when
+    it stopped at none, so every path was listed and the series is skipped).
+    The terms after the K-th sum to at most S_1 q^K / ((K + 1)(1 - q)); terms
+    are added until that bound drops to 2^-53 of the partial sum, or until
+    the partial sum is not positive: the unlisted paths then weigh less than
+    the rounding of the listed ones.
     """
 
     __slots__ = ("nodes", "edges", "fwd", "s1", "survival")
@@ -306,26 +309,26 @@ class _DagRound:
         if math.exp(-s1) == 0.0:
             return 0.0
         listed = []  # probabilities of the paths above 1/2
-        complete = best[0] > 0.5  # until a path at most 1/2 is passed over
-        stack = [(self.nodes[0], 1.0)] if complete else []
+        q = best[0] if best[0] <= 0.5 else 0.0  # bounds every unlisted path
+        stack = [] if q else [(self.nodes[0], 1.0)]
         while stack:
             node, prob = stack.pop()
             for parent, p in preds[node]:
                 r = prob * p
-                if r * best[index[parent]] <= 0.5:
-                    complete = False
+                top = r * best[index[parent]]  # likeliest completion of this prefix
+                if top <= 0.5:
+                    q = max(q, top)
                 elif parent == s:
                     listed.append(r)
                 else:
                     stack.append((parent, r))
         product = math.prod(1.0 - p for p in listed)
-        if complete:
+        if q == 0.0:
             return product
-        q = min(best[0], 0.5)  # bounds every unlisted path
         s1 -= sum(listed)
         total = s1
         k = 1
-        while s1 * q**k > _TAIL_RTOL * total * (k + 1) * (1.0 - q):
+        while total > 0.0 and s1 * q**k > _TAIL_RTOL * total * (k + 1) * (1.0 - q):
             k += 1
             total += (self._power_sum(k) - sum(p**k for p in listed)) / k
         return product * math.exp(-total)

@@ -38,10 +38,15 @@ def test_generate_ba_edge_count(tmp_path):
     assert load_graph(out).edge_count == 230
 
 
-def test_generate_usage_error(tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        run("generate", "er", "--n", 10, "--p", 1.5, "-o", tmp_path / "x.el")
-    assert exc.value.code == 2
+def test_generate_usage_error(tmp_path, capsys):
+    for options, message in [
+        (("--p", 1.5), "er needs p in [0, 1]"),
+        (("--p", 0.5, "--seed", -1), "seed must be >= 0"),
+    ]:
+        with pytest.raises(SystemExit) as exc:
+            run("generate", "er", "--n", 10, *options, "-o", tmp_path / "x.el")
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
 
 def test_centrality_commands_and_determinism(tmp_path):
@@ -170,12 +175,17 @@ def test_sweep_rejects_a_bad_phi_grid_before_running(tmp_path, capsys, monkeypat
     for name in ("mc_harmonic", "mc_betweenness"):
         monkeypatch.setattr(evaluation, name, recording(getattr(evaluation, name)))
     out_dir = tmp_path / "sweep"
-    code = run("reproduce", "random-graph-sweep", "--out-dir", out_dir, "--graphs-per-cell", 1,
-               "--n", 20, "--samples", 50, "--phi-grid", "0.5,1.5", "--jobs", 1)
-    assert code == 1
-    assert_one_line_error(capsys, "phi must lie in [0, 1]")
-    assert mc_calls == []
-    assert not (out_dir / "sweep.csv").exists()
+    # A negative seed is refused at the same point.
+    for option, message in [
+        (("--phi-grid", "0.5,1.5"), "phi must lie in [0, 1]"),
+        (("--seed", -1), "seed must be >= 0"),
+    ]:
+        code = run("reproduce", "random-graph-sweep", "--out-dir", out_dir, "--graphs-per-cell", 1,
+                   "--n", 20, "--samples", 50, *option, "--jobs", 1)
+        assert code == 1
+        assert_one_line_error(capsys, message)
+        assert mc_calls == []
+        assert not (out_dir / "sweep.csv").exists()
 
 
 def test_sweep_settings_come_from_the_options_by_field_name(tmp_path, monkeypatch):

@@ -150,3 +150,5 @@ def test_spec_validation_errors():
         GenSpec(model="er", n=10, p=0.5, prob_dist="nope").validate()
     with pytest.raises(ValueError):
         GenSpec(model="er", n=10, p=0.5, prob_dist="constant:1.4").validate()
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        GenSpec(model="er", n=10, p=0.5, seed=-1).validate()

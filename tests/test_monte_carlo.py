@@ -18,6 +18,8 @@ from conftest import full_world, random_uncertain_graph
 def test_config_validation():
     with pytest.raises(ValueError):
         McConfig(samples=0)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        McConfig(samples=10, master_seed=-1)
     # The worker count is the pool's rule, checked when the run starts.
     with pytest.raises(ValueError, match="workers must be >= 1"):
         mc_harmonic(UncertainGraph(2, [(0, 1)], [0.5]), McConfig(samples=10, workers=0))

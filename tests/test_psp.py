@@ -307,26 +307,32 @@ def test_min_edges_over_preds_match_the_adjacency_walk():
 
 
 def test_later_rounds_reach_only_nodes_within_the_bound(monkeypatch):
-    # Round two on reaches node v only when dist[v] + hops(v, t) <= dist[t]:
-    # the bound is t's new length, measured with t's own hop row.
-    checked = 0
+    # A later round that finds t within its bound reaches node v only when
+    # dist[v] + hops(v, t) <= bound, measured with t's own hop row. Any other
+    # later round sweeps once more without the bound, so it returns exactly
+    # what the unbounded sweep returns.
+    within = unbounded = 0
     real_bfs = psp._forward_bfs
 
     def checking_bfs(g, s, t, deleted, **kwargs):
-        nonlocal checked
-        dist, preds, tags = real_bfs(g, s, t, deleted, **kwargs)
-        if deleted and dist[t] >= 0:
+        nonlocal within, unbounded
+        found = real_bfs(g, s, t, deleted, **kwargs)
+        dist = found[0]
+        if deleted and 0 <= dist[t] <= kwargs["bound"]:
             row = hops[t]
-            assert all(d + row[v] <= dist[t] for v, d in enumerate(dist) if d >= 0)
-            checked += 1
-        return dist, preds, tags
+            assert all(d + row[v] <= kwargs["bound"] for v, d in enumerate(dist) if d >= 0)
+            within += 1
+        elif deleted:
+            assert found == real_bfs(g, s, t, deleted)
+            unbounded += 1
+        return found
 
     monkeypatch.setattr(psp, "_forward_bfs", checking_bfs)
     for g in _bit_identity_graphs():
         hops = psp._hop_table(g)
         psp_harmonic_all(g, 1.0)
         psp_betweenness_all(g, 1.0)
-    assert checked > 100
+    assert within > 100 and unbounded > 100
 
 
 def grid(side, probs):
@@ -361,7 +367,7 @@ def test_bipartite_later_rounds_find_t_within_their_first_bound(seed, monkeypatc
     # On a grid every s-t path has the parity of the first round, so a later
     # round starts at bound = last length + 2 and, on a 4 x 4 grid, finds t
     # without widening the bound. (On larger grids a round can grow by 4 or
-    # more; its sweep then reruns once with a wider bound.)
+    # more; its sweep then runs once more without the bound.)
     checked = 0
     real_bfs = psp._forward_bfs
 
@@ -476,11 +482,17 @@ def test_dag_rounds_within_tolerance_of_the_enumeration_reference(phi, monkeypat
         assert np.max(np.abs(b - _reference_betweenness(g, phi))) <= 1e-12
 
 
-def test_dag_round_with_a_certain_path_leaves_nothing_remaining():
-    # 5 x 5 grid, corner to corner: 70 shortest paths. Every edge of the
-    # path along the top row and down the right column is certain.
+def top_right_grid(p_path, p_rest):
+    """5 x 5 grid whose top row and right column edges have p_path, and the
+    other edges p_rest: corner to corner, 70 shortest paths."""
     top_right = [(u < 5 and v < 5) or (u % 5 == 4 and v % 5 == 4) for u, v in grid(5, 0.5).edges]
-    g = grid(5, np.where(top_right, 1.0, 0.5))
+    return grid(5, np.where(top_right, p_path, p_rest))
+
+
+def test_dag_round_with_a_certain_path_leaves_nothing_remaining():
+    # Every edge of the path along the top row and down the right column is
+    # certain.
+    g = top_right_grid(1.0, 0.5)
     _, preds, _ = _forward_bfs(g, 0, 24, frozenset())
     assert len(_path_probs(preds, 0, 24)) == 70
     dag = psp._DagRound(preds, 0, 24)
@@ -504,6 +516,50 @@ def test_dag_round_lists_paths_above_one_half():
     sigma, after = psp._add_round_shares(preds, 0, 24, 0.0, 0.75, shares)
     assert (sigma, after) == (0.75 * dag.s1, 0.75 * dag.survival)
     assert shares == {v: 0.75 * through for v, through in dag.inner_sums()}
+
+
+def test_dag_round_series_bounded_by_the_prefixes_the_walk_stops_at(monkeypatch):
+    # The path along the top row and down the right column (p = 0.99) is
+    # listed; every other path takes at least two edges at p = 0.05, so the
+    # unlisted paths are below 0.003 and the series needs a few terms, not
+    # the ~50 of a bound of 1/2.
+    g = top_right_grid(0.99, 0.05)
+    _, preds, _ = _forward_bfs(g, 0, 24, frozenset())
+    probs = _path_probs(preds, 0, 24)
+    assert len(probs) > psp._DP_PATHS and max(probs) > 0.5
+    terms = []
+    real_power_sum = psp._DagRound._power_sum
+
+    def counting(dag, k):
+        terms.append(k)
+        return real_power_sum(dag, k)
+
+    monkeypatch.setattr(psp._DagRound, "_power_sum", counting)
+    _assert_survival_accurate(psp._DagRound(preds, 0, 24).survival, probs)
+    assert 0 < len(terms) <= 10
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_dag_round_series_stops_when_the_unlisted_paths_are_below_rounding(seed, monkeypatch):
+    # Every path but the top-right one takes at least two edges at p = 1e-9,
+    # so the unlisted paths weigh less than one ulp of the listed one and
+    # S_1 less the listed path is rounding noise of either sign. The series
+    # must still stop after a few terms.
+    on_path = np.random.default_rng(seed).uniform(0.9, 1.0, 40)
+    g = top_right_grid(on_path, 1e-9)
+    _, preds, _ = _forward_bfs(g, 0, 24, frozenset())
+    probs = _path_probs(preds, 0, 24)
+    assert len(probs) > psp._DP_PATHS and max(probs) > 0.5
+    terms = []
+    real_power_sum = psp._DagRound._power_sum
+
+    def counting(dag, k):
+        terms.append(k)
+        assert len(terms) <= 10
+        return real_power_sum(dag, k)
+
+    monkeypatch.setattr(psp._DagRound, "_power_sum", counting)
+    _assert_survival_accurate(psp._DagRound(preds, 0, 24).survival, probs)
 
 
 def _likely_grid(side, lo, seed):
