@@ -12,11 +12,12 @@ import argparse
 import contextlib
 import dataclasses
 import json
+import math
 import os
 import sys
 
 from . import experiments, scores_io
-from .evaluation import compare_runs, run_timed, write_reports_csv
+from .evaluation import ConstantRanking, compare_runs, run_timed, write_reports_csv
 from .generators import GenSpec, generate
 from .graph_model import load_graph, save_graph
 from .possible_worlds import DEFAULT_ENUMERATION_CAP
@@ -172,6 +173,8 @@ def _cmd_compare(args) -> int:
         (b, {"method": b.method, **b.params}, 0.0),
         seed=a.seed,
     )
+    if math.isnan(report.scc):  # strict JSON has no NaN
+        raise ConstantRanking
     if args.output:
         out = open(args.output, "w", newline="", encoding="utf-8")
     else:

@@ -34,8 +34,18 @@ def mae(a, b) -> float:
     return float(np.mean(np.abs(x - y)))
 
 
+class ConstantRanking(ValueError):
+    """A vector ranks every entry equal, so Spearman correlation is undefined."""
+
+    def __str__(self):
+        return "constant ranking: Spearman correlation undefined"
+
+
 def scc(a, b) -> float:
-    """Spearman rank correlation with average ranks on ties."""
+    """Spearman rank correlation with average ranks on ties.
+
+    Raises ``ConstantRanking`` when either vector ranks every entry equal.
+    """
     x = as_scores(a)
     y = as_scores(b)
     if x.shape != y.shape:
@@ -48,7 +58,7 @@ def scc(a, b) -> float:
     cy = ry - ry.mean()
     denom = math.sqrt(float((cx * cx).sum()) * float((cy * cy).sum()))
     if denom == 0.0:
-        raise ValueError("constant ranking: Spearman correlation undefined")
+        raise ConstantRanking
     return float((cx * cy).sum() / denom)
 
 
@@ -173,15 +183,23 @@ def run_experiment(
 
 
 def compare_runs(measure: str, timed_a, timed_b, **labels) -> ExperimentReport:
-    """Compare two (scores, descriptor, milliseconds) runs with MAE and SCC."""
+    """Compare two (scores, descriptor, milliseconds) runs with MAE and SCC.
+
+    The SCC is nan when either run ranks every node equal.
+    """
     vec_a, desc_a, ms_a = timed_a
     vec_b, desc_b, ms_b = timed_b
+    error = mae(vec_a, vec_b)
+    try:
+        rho = scc(vec_a, vec_b)
+    except ConstantRanking:
+        rho = math.nan
     return ExperimentReport(
         measure=measure,
         method_a=desc_a,
         method_b=desc_b,
-        mae=mae(vec_a, vec_b),
-        scc=scc(vec_a, vec_b),
+        mae=error,
+        scc=rho,
         runtime_a_ms=ms_a,
         runtime_b_ms=ms_b,
         **labels,
@@ -189,12 +207,17 @@ def compare_runs(measure: str, timed_a, timed_b, **labels) -> ExperimentReport:
 
 
 def aggregate_reports(reports) -> dict:
-    """Mean MAE / SCC over a batch of reports."""
+    """Mean MAE / SCC over a batch of reports.
+
+    The SCC mean skips the reports whose SCC is undefined (nan), and is None
+    when every one is.
+    """
     reports = list(reports)
     if not reports:
         raise ValueError("no reports to aggregate")
+    defined = [r.scc for r in reports if not math.isnan(r.scc)]
     return {
         "count": len(reports),
         "mean_mae": float(np.mean([r.mae for r in reports])),
-        "mean_scc": float(np.mean([r.scc for r in reports])),
+        "mean_scc": float(np.mean(defined)) if defined else None,
     }

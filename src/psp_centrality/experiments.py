@@ -17,7 +17,13 @@ import numpy as np
 
 from . import _parallel
 from .deterministic import require_phi, require_seed
-from .evaluation import ExperimentReport, compare_runs, run_timed, write_reports_csv
+from .evaluation import (
+    ExperimentReport,
+    aggregate_reports,
+    compare_runs,
+    run_timed,
+    write_reports_csv,
+)
 from .generators import GenSpec, generate
 from .graph_model import UncertainGraph
 from .possible_worlds import distance_er, exact_distance_distribution
@@ -136,20 +142,27 @@ def phi_sweep(settings: SweepSettings) -> list[ExperimentReport]:
 
 
 def write_sweep_outputs(out_dir, settings: SweepSettings, reports) -> None:
+    """Write ``sweep.csv`` (one row per report) and ``summary.json`` (means per
+    cell and phi). A row whose SCC is undefined reads ``nan`` in the CSV;
+    ``mean_scc`` averages the defined ones and is null when there are none.
+    """
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "sweep.csv"), "w", newline="", encoding="utf-8") as fh:
         write_reports_csv(fh, reports)
-    summary: dict = {}
+    cells: dict = {}
     for r in reports:
         key = f"{r.model}/{r.prob_dist}/{r.measure}/phi={r.method_a['phi']}"
-        summary.setdefault(key, []).append((r.mae, r.scc))
-    rendered = {
-        key: {
-            "mean_mae": float(np.mean([m for m, _ in vals])),
-            "mean_scc": float(np.mean([s for _, s in vals])),
-            "graphs": len(vals),
+        cells.setdefault(key, []).append(r)
+    rendered = {}
+    for key, rows in sorted(cells.items()):
+        agg = aggregate_reports(rows)
+        rendered[key] = {
+            "mean_mae": agg["mean_mae"],
+            "mean_scc": agg["mean_scc"],
+            "graphs": agg["count"],
         }
-        for key, vals in sorted(summary.items())
-    }
     with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
-        json.dump({"settings": settings.__dict__, "cells": rendered}, fh, indent=2, default=str)
+        json.dump(
+            {"settings": settings.__dict__, "cells": rendered},
+            fh, indent=2, default=str, allow_nan=False,
+        )

@@ -49,10 +49,11 @@ class GenSpec:
             if self.m is None or not 1 <= self.m < self.n:
                 raise ValueError("ba needs 1 <= m < n")
         elif self.model == "rh":
-            if self.k is None or self.k <= 0:
-                raise ValueError("rh needs k > 0")
-            if self.gamma is None or self.gamma <= 2:
-                raise ValueError("rh needs gamma > 2")
+            # Written so that nan fails: every comparison with nan is false.
+            if self.k is None or not 0 < self.k < math.inf:
+                raise ValueError("rh needs a finite k > 0")
+            if self.gamma is None or not 2 < self.gamma < math.inf:
+                raise ValueError("rh needs a finite gamma > 2")
         else:
             raise ValueError(f"unknown model {self.model!r}")
         _parse_prob_dist(self.prob_dist)
@@ -167,8 +168,8 @@ def _parse_prob_dist(dist: str):
         return ("uniform01", None)
     if dist == "beta44":
         return ("beta44", None)
-    if dist == "constant" or dist.startswith("constant:"):
-        c = 1.0 if dist == "constant" else float(dist.split(":", 1)[1])
+    if dist.startswith("constant:"):
+        c = float(dist.split(":", 1)[1])
         if not 0.0 <= c <= 1.0:
             raise ValueError("constant probability must lie in [0, 1]")
         return ("constant", c)

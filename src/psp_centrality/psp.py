@@ -48,12 +48,6 @@ from .possible_worlds import DistanceDistribution
 _DP_PATHS = 64
 _TAIL_RTOL = 2.0**-53  # bound on ``_DagRound``'s truncated series, relative to its sum
 
-# Minimal-probability edge remembered per node during the forward sweep, as a
-# plain (edge, prob, depth) tuple: the sweep builds one per traversed edge, and
-# a NamedTuple there makes the whole PSP run markedly slower. depth is the BFS
-# depth of the edge's deeper endpoint; the source holds (None, inf, 0).
-_NO_TAG = (None, math.inf, 0)
-
 
 class ExplorationRound(NamedTuple):
     """Result of one all-shortest-paths sweep for a pair.
@@ -70,18 +64,18 @@ class ExplorationRound(NamedTuple):
 
 def _forward_bfs(g: UncertainGraph, s: int, t: int, deleted, *, hops_to_t=None, bound=0):
     """Level BFS from s over non-deleted edges, recording predecessors and
-    minimal-edge tags.
+    each node's least edge probability.
 
-    Tag update rule: a newly traversed edge takes over when its probability
-    is <= the inherited minimum (so equal probabilities prefer the deeper,
-    later-found edge); otherwise the lower-probability inherited tag wins,
-    and on equal probabilities the deeper tag wins.
+    ``least[v]`` is the smallest edge probability on any shortest s -> v
+    path (inf at s, and at unreached nodes): a node's first predecessor
+    sets it to min(p, least[parent]) over the edge it came by, and every
+    further predecessor lowers it to that value when that is smaller.
 
-    Stops when the first node at t's level is dequeued; everything at levels
-    below t is complete by then. With ``t == s`` nothing stops the sweep and
-    it covers s's whole component. Returns (dist, preds, tags) where dist is
-    -1 for unreached nodes and preds[v] lists (parent, edge probability)
-    pairs.
+    Stops when the first node at t's level is dequeued; the preds and least
+    of every node up to t's level are complete by then. With ``t == s``
+    nothing stops the sweep and it covers s's whole component. Returns
+    (dist, preds, least) where dist is -1 for unreached nodes and preds[v]
+    lists (parent, edge probability) pairs.
 
     With ``hops_to_t`` (hop distance to t in the graph without deletions) a
     node found at level d is enqueued only when d + hops_to_t[node] <= bound.
@@ -89,7 +83,7 @@ def _forward_bfs(g: UncertainGraph, s: int, t: int, deleted, *, hops_to_t=None, 
     whenever bound >= that length, and so does every shortest-path
     predecessor of a node that passes (hops change by at most 1 per edge).
     The admitted nodes are thus found at their true levels and in the
-    unbounded queue order, so when t is reached, dist, preds and tags agree
+    unbounded queue order, so when t is reached, dist, preds and least agree
     with the unbounded sweep on every node of the shortest-path predecessor
     DAG, which is all that path enumeration and ``retrieve_min_edges`` read.
     A bounded sweep that misses t after rejecting a node sweeps once more
@@ -103,7 +97,7 @@ def _forward_bfs(g: UncertainGraph, s: int, t: int, deleted, *, hops_to_t=None, 
         dist = [-1] * n
         dist[s] = 0
         preds: list = [None] * n
-        tags = [_NO_TAG] * n
+        least = [math.inf] * n
         queue = deque([s])
         t_dist = -1
         rejected = False
@@ -112,8 +106,7 @@ def _forward_bfs(g: UncertainGraph, s: int, t: int, deleted, *, hops_to_t=None, 
             d_curr = dist[curr]
             if t_dist >= 0 and d_curr >= t_dist:
                 break
-            ctag = tags[curr]
-            cprob = ctag[1]
+            low = least[curr]
             d_next = d_curr + 1
             for child, p, ekey in adj[curr]:
                 if ekey in deleted:
@@ -126,24 +119,16 @@ def _forward_bfs(g: UncertainGraph, s: int, t: int, deleted, *, hops_to_t=None, 
                     dist[child] = d_next
                     preds[child] = [(curr, p)]
                     queue.append(child)
-                    if cprob >= p:
-                        tags[child] = (ekey, p, d_next)
-                    else:
-                        tags[child] = ctag
+                    least[child] = p if p < low else low
                     if child == t:
                         t_dist = d_next
                 elif d_child == d_next:
                     preds[child].append((curr, p))
-                    chtag = tags[child]
-                    chprob = chtag[1]
-                    if chprob >= p and cprob >= p:
-                        tags[child] = (ekey, p, d_child)
-                    elif chprob > cprob:
-                        tags[child] = ctag
-                    elif cprob == chprob and ctag[2] > chtag[2]:
-                        tags[child] = ctag
+                    via = p if p < low else low
+                    if via < least[child]:
+                        least[child] = via
         if t_dist >= 0 or not rejected:
-            return dist, preds, tags
+            return dist, preds, least
         hops_to_t = None
 
 
@@ -172,32 +157,36 @@ def _round_bounds(g: UncertainGraph) -> list[tuple[list[int], int]]:
     ]
 
 
-def retrieve_min_edges(t: int, preds, tags):
+def retrieve_min_edges(t: int, preds, least):
     """Backward sweep from t over the predecessor DAG collecting one minimal
-    edge per shortest path.
+    edge per shortest path, from the ``least`` of ``_forward_bfs``.
 
-    An edge into t is taken when its probability is <= the minimum recorded
-    below it; deeper down, an edge is taken exactly when it is the stored
-    tag of its deeper endpoint. The walk stops below every emitted edge, so
-    each shortest path loses at least one edge and every emitted edge lies
-    on some shortest path. The edges come in no fixed order.
+    At t, every edge (u, t) with p <= least[u] is taken. At any other node v
+    the walk reaches, the last edge (u, p) of preds[v] with p == least[v]
+    and p <= least[u] is taken, or no edge when none qualifies. The walk
+    goes on below every parent of an edge it does not take, so each
+    shortest path loses at least one edge and every emitted edge lies on
+    some shortest path. The edges come in no fixed order.
     """
     out = []
     queue = deque()
     for parent, p in preds[t]:
-        if p <= tags[parent][1]:
+        if p <= least[parent]:
             out.append((parent, t) if parent < t else (t, parent))
         else:
             queue.append(parent)
     seen = set()
     while queue:
         curr = queue.popleft()
-        tag_edge = tags[curr][0]
+        low = least[curr]
+        taken = None
+        for parent, p in preds[curr]:
+            if p == low and p <= least[parent]:
+                taken = parent
+        if taken is not None:
+            out.append((taken, curr) if taken < curr else (curr, taken))
         for parent, _ in preds[curr]:
-            ekey = (parent, curr) if parent < curr else (curr, parent)
-            if ekey == tag_edge:
-                out.append(ekey)
-            elif parent not in seen:
+            if parent != taken and parent not in seen:
                 seen.add(parent)
                 queue.append(parent)
     return out
@@ -362,10 +351,10 @@ def all_shortest_paths_round(
     Returns length inf with empty lists when t is unreachable.
     """
     require_pair(g.node_count, s, t)
-    dist, preds, tags = _forward_bfs(g, s, t, deleted)
+    dist, preds, least = _forward_bfs(g, s, t, deleted)
     if dist[t] < 0:
         return ExplorationRound(math.inf, [], [])
-    min_edges = retrieve_min_edges(t, preds, tags)
+    min_edges = retrieve_min_edges(t, preds, least)
     return ExplorationRound(dist[t], _path_probs(preds, s, t), min_edges)
 
 
@@ -378,7 +367,7 @@ def _rounds(g: UncertainGraph, s: int, t: int, done, first=None, bound=None):
     a pair that stops (phi reached, or the caller's capping rule) retrieves
     no edges it would not use. Stops when t becomes unreachable.
 
-    The all-nodes drivers pass ``first``, the (dist, preds, tags) of a full
+    The all-nodes drivers pass ``first``, the (dist, preds, least) of a full
     BFS from s without deletions, which serves as round one, and t's entry
     of ``_round_bounds``, which bounds every later round: each shortest path
     lost an edge, so the next length is at least the last one plus the
@@ -390,9 +379,9 @@ def _rounds(g: UncertainGraph, s: int, t: int, done, first=None, bound=None):
     length = 0
     while not done():
         if length:
-            deleted.update(retrieve_min_edges(t, preds, tags))
+            deleted.update(retrieve_min_edges(t, preds, least))
             first = None
-        dist, preds, tags = first or _forward_bfs(
+        dist, preds, least = first or _forward_bfs(
             g, s, t, deleted, hops_to_t=hops_to_t, bound=length + growth
         )
         length = dist[t]

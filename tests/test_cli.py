@@ -40,11 +40,15 @@ def test_generate_ba_edge_count(tmp_path):
 
 def test_generate_usage_error(tmp_path, capsys):
     for options, message in [
-        (("--p", 1.5), "er needs p in [0, 1]"),
-        (("--p", 0.5, "--seed", -1), "seed must be >= 0"),
+        (("er", "--p", 1.5), "er needs p in [0, 1]"),
+        (("er", "--p", 0.5, "--seed", -1), "seed must be >= 0"),
+        (("rh", "--k", "nan", "--gamma", 3), "rh needs a finite k > 0"),
+        (("rh", "--k", "inf", "--gamma", 3), "rh needs a finite k > 0"),
+        (("rh", "--k", 6, "--gamma", "nan"), "rh needs a finite gamma > 2"),
+        (("rh", "--k", 6, "--gamma", "inf"), "rh needs a finite gamma > 2"),
     ]:
         with pytest.raises(SystemExit) as exc:
-            run("generate", "er", "--n", 10, *options, "-o", tmp_path / "x.el")
+            run("generate", *options, "--n", 10, "-o", tmp_path / "x.el")
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
 
@@ -107,6 +111,16 @@ def test_compare_node_mismatch(tmp_path, capsys):
     write_scores(b, CentralityVector(np.zeros(4), method="x", params={}))
     assert run("compare", a, b) == 1
     assert "mismatch" in capsys.readouterr().err
+
+
+def test_compare_constant_ranking_is_a_one_line_error(tmp_path, capsys):
+    a = tmp_path / "a.scores"
+    write_scores(a, CentralityVector(np.zeros(3), method="psp-harmonic", params={"phi": 0.0}))
+    for fmt in ("json", "csv"):
+        assert run("compare", a, a, "--format", fmt) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: constant ranking: Spearman correlation undefined\n"
 
 
 def test_compare_csv_row(tmp_path, capsys):

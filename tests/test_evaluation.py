@@ -1,3 +1,8 @@
+import csv
+import dataclasses
+import json
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -132,6 +137,36 @@ def test_phi_sweep_runs_one_baseline_per_graph_and_measure(monkeypatch):
             assert (alone.mae, alone.scc) == (r.mae, r.scc)
 
 
+def test_sweep_writes_every_row_with_nan_scc_where_the_ranking_is_constant(tmp_path):
+    # At phi 0 every PSP score is 0, a constant ranking without a Spearman
+    # correlation. The sweep still runs every cell and writes every row.
+    from psp_centrality.experiments import SweepSettings, phi_sweep, write_sweep_outputs
+
+    settings = SweepSettings(models=("er",), n=12, samples=20, phi_grid=(0.0, 0.5))
+    reports = phi_sweep(settings)
+    assert len(reports) == len(settings.dists) * settings.graphs_per_cell * 2 * 2
+    write_sweep_outputs(tmp_path, settings, reports)
+    with open(tmp_path / "sweep.csv", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == len(reports)
+    for row in rows:
+        if float(row["phi_or_samples"]) == 0.0:
+            assert row["scc"] == "nan"
+        assert row["scc"] == "nan" or -1.0 <= float(row["scc"]) <= 1.0
+
+    def reject(name):
+        raise AssertionError(f"summary.json holds {name}")
+
+    with open(tmp_path / "summary.json", encoding="utf-8") as fh:
+        cells = json.load(fh, parse_constant=reject)["cells"]
+    assert len(cells) == len(settings.dists) * 2 * 2
+    for key, cell in cells.items():
+        assert cell["graphs"] == settings.graphs_per_cell
+        if key.endswith("phi=0.0"):
+            assert cell["mean_scc"] is None
+        assert cell["mean_scc"] is None or -1.0 <= cell["mean_scc"] <= 1.0
+
+
 def test_aggregate_reports(detour):
     reports = [
         run_experiment(
@@ -145,6 +180,12 @@ def test_aggregate_reports(detour):
     agg = aggregate_reports(reports)
     assert agg["count"] == 3
     assert np.isfinite(agg["mean_mae"]) and np.isfinite(agg["mean_scc"])
+    # A report whose SCC is undefined does not count towards the SCC mean.
+    undefined = dataclasses.replace(reports[0], scc=math.nan)
+    assert aggregate_reports(reports[1:] + [undefined])["mean_scc"] == np.mean(
+        [r.scc for r in reports[1:]]
+    )
+    assert aggregate_reports([undefined])["mean_scc"] is None
 
 
 def test_compute_centrality_rejects_unknown(detour):

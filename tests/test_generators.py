@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -152,3 +154,8 @@ def test_spec_validation_errors():
         GenSpec(model="er", n=10, p=0.5, prob_dist="constant:1.4").validate()
     with pytest.raises(ValueError, match="seed must be >= 0"):
         GenSpec(model="er", n=10, p=0.5, seed=-1).validate()
+    for k, gamma in ((math.nan, 3.0), (math.inf, 3.0), (6.0, math.nan), (6.0, math.inf)):
+        with pytest.raises(ValueError, match="rh needs a finite"):
+            GenSpec(model="rh", n=10, k=k, gamma=gamma).validate()
+    with pytest.raises(ValueError, match="unknown probability distribution 'constant'"):
+        GenSpec(model="er", n=10, p=0.5, prob_dist="constant").validate()

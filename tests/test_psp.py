@@ -20,7 +20,7 @@ from psp_centrality import (
     psp_harmonic_all,
     retrieve_min_edges,
 )
-from psp_centrality import psp
+from psp_centrality import deterministic, psp
 from psp_centrality.psp import _forward_bfs, _path_probs, _paths_with_inner
 
 from conftest import full_world, random_deterministic_graph, random_uncertain_graph, star_graph
@@ -146,8 +146,53 @@ def test_forward_bfs_keeps_four_positional_arguments(detour):
     assert [p.name for p in params[:4]] == ["g", "s", "t", "deleted"]
     assert all(p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD for p in params[:4])
     assert all(p.kind is inspect.Parameter.KEYWORD_ONLY for p in params[4:])
-    dist, _, _ = _forward_bfs(detour, 0, 3, frozenset())
-    assert dist[3] == 2
+    found = _forward_bfs(detour, 0, 3, frozenset())
+    assert len(found) == 3
+    dist, _, least = found
+    assert dist[3] == 2 and least[0] == math.inf
+
+
+def _reference_tags(g, s, t, deleted):
+    """The earlier unbounded sweep, which remembers one minimal edge per
+    node as an (edge, prob, depth) tag: a newly traversed edge takes over
+    when its probability is <= the inherited minimum, else the lower
+    inherited tag wins, and on equal probabilities the deeper tag wins.
+    Returns (dist, preds, tags); the source holds (None, inf, 0)."""
+    n = g.node_count
+    dist = [-1] * n
+    dist[s] = 0
+    preds = [None] * n
+    tags = [(None, math.inf, 0)] * n
+    queue = deque([s])
+    t_dist = -1
+    while queue:
+        curr = queue.popleft()
+        if t_dist >= 0 and dist[curr] >= t_dist:
+            break
+        ctag = tags[curr]
+        cprob = ctag[1]
+        d_next = dist[curr] + 1
+        for child, p, ekey in g.adj[curr]:
+            if ekey in deleted:
+                continue
+            if dist[child] < 0:
+                dist[child] = d_next
+                preds[child] = [(curr, p)]
+                queue.append(child)
+                tags[child] = (ekey, p, d_next) if cprob >= p else ctag
+                if child == t:
+                    t_dist = d_next
+            elif dist[child] == d_next:
+                preds[child].append((curr, p))
+                chtag = tags[child]
+                chprob = chtag[1]
+                if chprob >= p and cprob >= p:
+                    tags[child] = (ekey, p, d_next)
+                elif chprob > cprob:
+                    tags[child] = ctag
+                elif cprob == chprob and ctag[2] > chtag[2]:
+                    tags[child] = ctag
+    return dist, preds, tags
 
 
 def _reference_min_edges(g, t, dist, tags, deleted=frozenset()):
@@ -184,11 +229,11 @@ def _reference_min_edges(g, t, dist, tags, deleted=frozenset()):
 
 
 def _reference_rounds(g, s, t, done):
-    """Unbounded per-pair rounds: a full BFS for every round of every pair,
-    and the earlier adjacency-scanning min-edge walk."""
+    """Unbounded per-pair rounds: the earlier tag sweep for every round of
+    every pair, and the earlier adjacency-scanning min-edge walk."""
     deleted = set()
     while not done():
-        dist, preds, tags = _forward_bfs(g, s, t, deleted)
+        dist, preds, tags = _reference_tags(g, s, t, deleted)
         if dist[t] < 0:
             return
         yield dist[t], preds
@@ -276,34 +321,72 @@ def test_bounded_rounds_match_unbounded_reference_bit_for_bit(phi):
 def test_min_edges_over_preds_match_the_adjacency_walk():
     # Every round of every pair, in all three BFS modes: the full sweep that
     # serves round one, the sweep that stops at t's level, and the
-    # hop-bounded later rounds. Constant-probability graphs exercise the ties.
+    # hop-bounded later rounds. The expected edges come from the earlier tag
+    # sweep. Constant-probability graphs exercise the ties.
     rounds = 0
     for g in _bit_identity_graphs():
         hops = psp._hop_table(g)
         for s in range(g.node_count - 1):
-            full_dist, full_preds, full_tags = _forward_bfs(g, s, s, frozenset())
+            full = _forward_bfs(g, s, s, frozenset())
             for t in range(s + 1, g.node_count):
                 deleted = set()
                 length = 0
                 while True:
-                    dist, preds, tags = _forward_bfs(g, s, t, deleted)
+                    dist, preds, tags = _reference_tags(g, s, t, deleted)
                     if dist[t] < 0:
                         break
                     expected = _reference_min_edges(g, t, dist, tags, deleted)
                     bounded = _forward_bfs(
                         g, s, t, deleted, hops_to_t=hops[t], bound=length + 1
                     )
-                    runs = [(preds, tags), bounded[1:]]
+                    runs = [_forward_bfs(g, s, t, deleted)[1:], bounded[1:]]
                     if not deleted:
-                        runs.append((full_preds, full_tags))
-                    for run_preds, run_tags in runs:
-                        edges = retrieve_min_edges(t, run_preds, run_tags)
+                        runs.append(full[1:])
+                    for run_preds, run_least in runs:
+                        assert run_preds[t] == preds[t]
+                        edges = retrieve_min_edges(t, run_preds, run_least)
                         assert len(edges) == len(set(edges))
                         assert set(edges) == set(expected)
                     deleted.update(expected)
                     length = dist[t]
                     rounds += 1
     assert rounds > 1000
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.booleans())
+def test_least_is_the_smallest_edge_on_the_shortest_paths_to_each_node(seed, with_deletions):
+    # The oracle lists every shortest s -> v path with the deterministic
+    # module's own BFS, over the edges left after the deletions, and takes
+    # the smallest edge probability on any of them. Ties are common: most
+    # probabilities come from {0.25, 0.5, 1}.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 11))
+    g = random_uncertain_graph(rng, n=n, edge_prob=float(rng.uniform(0.2, 0.6)))
+    tied = rng.choice([0.25, 0.5, 1.0], g.edge_count)
+    g = UncertainGraph(n, list(g.edges), np.where(rng.random(g.edge_count) < 0.7, tied, g.probs))
+    live = [(u, v, p) for u in range(n) for v, p, _ in g.adj[u] if u < v]
+    deleted = set()
+    if with_deletions:
+        deleted = {(u, v) for u, v, _ in live if rng.random() < 0.3}
+    prob = {}
+    adj = [[] for _ in range(n)]
+    for u, v, p in live:
+        if (u, v) not in deleted:
+            prob[u, v] = prob[v, u] = p
+            adj[u].append(v)
+            adj[v].append(u)
+    s = int(rng.integers(n))
+    oracle_dist, oracle_preds = deterministic._bfs_preds(adj, s)
+    for t in (s, int(rng.integers(n))):
+        dist, _, least = _forward_bfs(g, s, t, deleted)
+        for v in range(n):
+            if dist[v] < 0:
+                continue
+            assert dist[v] == oracle_dist[v]
+            paths = deterministic._all_shortest_paths(oracle_preds, s, v)
+            on_paths = [prob[e] for path in paths for e in zip(path, path[1:])]
+            assert least[v] == min(on_paths, default=math.inf)
 
 
 def test_later_rounds_reach_only_nodes_within_the_bound(monkeypatch):
@@ -373,11 +456,11 @@ def test_bipartite_later_rounds_find_t_within_their_first_bound(seed, monkeypatc
 
     def checking_bfs(g, s, t, deleted, **kwargs):
         nonlocal checked
-        dist, preds, tags = real_bfs(g, s, t, deleted, **kwargs)
+        dist, preds, least = real_bfs(g, s, t, deleted, **kwargs)
         if kwargs.get("hops_to_t") is not None and dist[t] >= 0:
             assert dist[t] <= kwargs["bound"]
             checked += 1
-        return dist, preds, tags
+        return dist, preds, least
 
     monkeypatch.setattr(psp, "_forward_bfs", checking_bfs)
     g = seeded_grid(4, seed)
@@ -664,8 +747,8 @@ def test_min_edge_tie_prefers_edge_closest_to_target():
 
 
 def test_retrieve_min_edges_direct_call(detour):
-    _, preds, tags = _forward_bfs(detour, 0, 3, frozenset())
-    emin = retrieve_min_edges(3, preds, tags)
+    _, preds, least = _forward_bfs(detour, 0, 3, frozenset())
+    emin = retrieve_min_edges(3, preds, least)
     assert sorted(emin) == [(0, 2), (1, 3)]
 
 
