@@ -18,7 +18,7 @@ from .graph_model import (
     save_graph,
     world_probability,
 )
-from .monte_carlo import McConfig, mc_betweenness, mc_harmonic
+from .monte_carlo import McConfig, mc_betweenness, mc_harmonic, mc_harmonic_betweenness
 from .possible_worlds import (
     DEFAULT_ENUMERATION_CAP,
     DistanceDistribution,
@@ -38,6 +38,7 @@ from .psp import (
     psp_distance_distribution,
     psp_distance_er,
     psp_harmonic_all,
+    psp_harmonic_betweenness_all,
     retrieve_min_edges,
 )
 
@@ -77,10 +78,12 @@ __all__ = [
     "mae",
     "mc_betweenness",
     "mc_harmonic",
+    "mc_harmonic_betweenness",
     "psp_betweenness_all",
     "psp_distance_distribution",
     "psp_distance_er",
     "psp_harmonic_all",
+    "psp_harmonic_betweenness_all",
     "retrieve_min_edges",
     "run_experiment",
     "sample_world",

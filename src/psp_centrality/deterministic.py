@@ -139,14 +139,20 @@ def harmonic_scores_from_adjacency(a: np.ndarray) -> np.ndarray:
     return acc / (n - 1)
 
 
-def betweenness_scores_from_adjacency(a: np.ndarray) -> np.ndarray:
+def betweenness_scores_from_adjacency(a: np.ndarray, harmonic_out=None) -> np.ndarray:
     """Normalized betweenness of every node via the dependency recursion.
 
     Forward sweep counts shortest paths level-synchronously for all sources at
     once; the backward sweep accumulates dependencies. Each unordered pair is
     seen from both endpoints, hence the single 1/((n-1)(n-2)) normalization.
+
+    With ``harmonic_out`` (a float64 n-vector) the forward sweep also writes
+    the harmonic closeness there, equal to ``harmonic_scores_from_adjacency``
+    bit for bit: its level d reaches the same (source, node) entries, and
+    each node's count of them is the same exact integer.
     """
     n = a.shape[0]
+    acc = np.zeros(n)
     # Path counts are integers, so float32 products count them exactly (and
     # twice as fast) while every count stays below 2**24; past that the
     # forward sweep continues in float64.
@@ -169,6 +175,10 @@ def betweenness_scores_from_adjacency(a: np.ndarray) -> np.ndarray:
         sigma_front.ravel()[idx] = sigma
         visited |= nxt
         levels.append((idx, sigma.astype(np.float64)))
+        if harmonic_out is not None:
+            acc += np.bincount(idx % n, minlength=n) / len(levels)
+    if harmonic_out is not None:
+        harmonic_out[:] = acc / (n - 1)
 
     # Only the level entries of delta change, so the backward sweep reads and
     # writes just those. The product itself stays a dense matmul: a sparse one

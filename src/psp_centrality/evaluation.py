@@ -18,9 +18,9 @@ from scipy.stats import rankdata
 
 from .deterministic import CentralityVector, as_scores
 from .graph_model import UncertainGraph
-from .monte_carlo import McConfig, mc_betweenness, mc_harmonic
+from .monte_carlo import McConfig, mc_betweenness, mc_harmonic, mc_harmonic_betweenness
 from .possible_worlds import DEFAULT_ENUMERATION_CAP, exact_expected_centrality
-from .psp import psp_betweenness_all, psp_harmonic_all
+from .psp import psp_betweenness_all, psp_harmonic_all, psp_harmonic_betweenness_all
 
 
 def mae(a, b) -> float:
@@ -131,8 +131,10 @@ def compute_centrality(
     seed: int = 0,
     workers: int = 1,
     cap: int = DEFAULT_ENUMERATION_CAP,
-) -> CentralityVector:
-    """Dispatch one of the six centrality methods by name."""
+) -> CentralityVector | tuple[CentralityVector, CentralityVector]:
+    """Dispatch one of the six centrality methods by name, or one of the two
+    joint ones ("psp-harmonic-betweenness", "mc-harmonic-betweenness"),
+    which return a (harmonic, betweenness) pair from one pass."""
     if method == "psp-harmonic":
         return psp_harmonic_all(g, phi, workers)
     if method == "psp-betweenness":
@@ -141,6 +143,10 @@ def compute_centrality(
         return mc_harmonic(g, McConfig(samples, seed, workers))
     if method == "mc-betweenness":
         return mc_betweenness(g, McConfig(samples, seed, workers))
+    if method == "psp-harmonic-betweenness":
+        return psp_harmonic_betweenness_all(g, phi, workers)
+    if method == "mc-harmonic-betweenness":
+        return mc_harmonic_betweenness(g, McConfig(samples, seed, workers))
     if method == "exact-harmonic":
         return exact_expected_centrality(g, "harmonic", cap)
     if method == "exact-betweenness":
@@ -153,6 +159,19 @@ def run_timed(g: UncertainGraph, spec: dict):
     start = time.perf_counter()
     vec = compute_centrality(g, **spec)
     return vec, dict(spec), (time.perf_counter() - start) * 1000.0
+
+
+def split_joint_run(timed) -> dict:
+    """Per measure, the (scores, descriptor, milliseconds) run of a joint
+    run of ``run_timed``: each descriptor names its own method
+    ("psp-harmonic-betweenness" -> "psp-harmonic", "psp-betweenness") and
+    each run takes half the joint runtime, so the halves sum to it."""
+    vecs, spec, ms = timed
+    family = spec["method"].split("-", 1)[0]
+    return {
+        measure: (vec, {**spec, "method": f"{family}-{measure}"}, ms / 2.0)
+        for measure, vec in zip(("harmonic", "betweenness"), vecs)
+    }
 
 
 def run_experiment(

@@ -22,6 +22,7 @@ from .evaluation import (
     aggregate_reports,
     compare_runs,
     run_timed,
+    split_joint_run,
     write_reports_csv,
 )
 from .generators import GenSpec, generate
@@ -108,27 +109,34 @@ def _sweep_cell(cfg: SweepSettings, task) -> list[ExperimentReport]:
     g = generate(_model_spec(model, dist, cfg.n, graph_seed))
     graph_id = f"{model}-{dist}-{graph_i:02d}"
     labels = {"graph_id": graph_id, "model": model, "prob_dist": dist, "seed": mc_seed}
-    reports = []
-    for measure in ("betweenness", "harmonic"):
-        # One MC baseline per (graph, measure): every phi row compares against
-        # it and repeats its single measured runtime.
-        mc_spec = {"method": f"mc-{measure}", "samples": cfg.samples, "seed": mc_seed}
-        baseline = run_timed(g, mc_spec)
-        for phi in cfg.phi_grid:
-            heuristic = run_timed(g, {"method": f"psp-{measure}", "phi": phi})
-            reports.append(compare_runs(measure, heuristic, baseline, **labels))
-    return reports
+    # One MC pass per graph and one PSP pass per (graph, phi) serve both
+    # measures. Every phi row compares against the one MC baseline and repeats
+    # its runtime; each of a pass's two rows reports half of that pass.
+    mc_spec = {"method": "mc-harmonic-betweenness", "samples": cfg.samples, "seed": mc_seed}
+    baseline = split_joint_run(run_timed(g, mc_spec))
+    heuristics = [
+        split_joint_run(run_timed(g, {"method": "psp-harmonic-betweenness", "phi": phi}))
+        for phi in cfg.phi_grid
+    ]
+    return [
+        compare_runs(measure, heuristic[measure], baseline[measure], **labels)
+        for measure in ("betweenness", "harmonic")
+        for heuristic in heuristics
+    ]
 
 
 def phi_sweep(settings: SweepSettings) -> list[ExperimentReport]:
     """Run the sweep; one report per (graph, measure, phi), in fixed order.
 
-    The seed and every phi of the grid are checked before any graph is
-    generated.
+    The seed, every phi of the grid and every model's parameters at the
+    sweep's n are checked before any graph is generated.
     """
     require_seed(settings.seed)
     for phi in settings.phi_grid:
         require_phi(phi)
+    for model in settings.models:
+        for dist in settings.dists:
+            _model_spec(model, dist, settings.n, settings.seed).validate()
     tasks = [
         (mi, di, gi)
         for mi in range(len(settings.models))

@@ -35,7 +35,8 @@ class GenSpec:
     seed: int = 0
 
     def validate(self):
-        """Raise ValueError unless the model's parameters are in range.
+        """Raise ValueError unless the model's parameters are in range (for
+        rh, a degree target that a disk of n nodes can reach).
 
         ``gen_er``, ``gen_ba`` and ``gen_rh`` check their arguments here too.
         """
@@ -54,6 +55,8 @@ class GenSpec:
                 raise ValueError("rh needs a finite k > 0")
             if self.gamma is None or not 2 < self.gamma < math.inf:
                 raise ValueError("rh needs a finite gamma > 2")
+            if self.n > 1:
+                _rh_radius(self.n, float(self.k), (self.gamma - 1.0) / 2.0)
         else:
             raise ValueError(f"unknown model {self.model!r}")
         _parse_prob_dist(self.prob_dist)
@@ -111,7 +114,9 @@ def _rh_radius(n: int, avg_degree: float, alpha: float) -> float:
 
     Solves E[deg](R) = avg_degree where the expectation integrates the
     connection probability of two random points over the radial density
-    alpha*sinh(alpha*r)/(cosh(alpha*R)-1).
+    alpha*sinh(alpha*r)/(cosh(alpha*R)-1). The expected degree falls as
+    the radius grows, and even the smallest disk joins only part of the
+    pairs, so a target above what it reaches is a ValueError naming n and k.
     """
     nodes, weights = np.polynomial.legendre.leggauss(128)
 
@@ -128,9 +133,13 @@ def _rh_radius(n: int, avg_degree: float, alpha: float) -> float:
         frac = np.arccos(cosang) / np.pi  # admissible angle fraction
         return float((n - 1) * (wf @ frac @ wf))
 
-    if avg_degree >= n - 1:
-        return 1e-3  # denser than complete is impossible; smallest disk wins
     lo = 1e-3
+    densest = expected_degree(lo)
+    if densest < avg_degree:
+        raise ValueError(
+            f"rh cannot reach average degree k={avg_degree:g} with n={n} nodes"
+            f" (at most {densest:.3g}); lower k or raise n"
+        )
     hi = max(4.0, 2.0 * math.log(max(n, 2)))
     for _ in range(60):
         if expected_degree(hi) < avg_degree:

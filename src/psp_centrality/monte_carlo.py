@@ -62,38 +62,64 @@ def _sample_world_codes(g: UncertainGraph, cfg: McConfig):
     return np.unique(rows, axis=0, return_counts=True)
 
 
-def _eval_chunk(g: UncertainGraph, kernel, rows: np.ndarray) -> np.ndarray:
+def _eval_chunk(g: UncertainGraph, kernel, width: int, rows: np.ndarray) -> np.ndarray:
+    """out[j, i]: the j-th of the ``width`` score vectors ``kernel`` returns for world rows[i]."""
     k = g.uncertain_edge_count
-    out = np.empty((len(rows), g.node_count))
+    out = np.empty((width, len(rows), g.node_count))
     for i, row in enumerate(rows):
         incl = np.unpackbits(row)[:k].astype(bool)
-        out[i] = kernel(g.adjacency_matrix(g.full_mask(incl)))
+        out[:, i] = kernel(g.adjacency_matrix(g.full_mask(incl)))
     return out
 
 
-def _mc_estimate(g: UncertainGraph, cfg: McConfig, measure: str) -> CentralityVector:
-    """Mean ``measure`` score over cfg.samples sampled worlds, as a score vector."""
-    require_nodes(measure, g.node_count)
+def _harmonic_betweenness_scores(a: np.ndarray):
+    """(harmonic, betweenness) scores of one world from one forward sweep."""
+    harmonic = np.empty(a.shape[0])
+    betweenness = betweenness_scores_from_adjacency(a, harmonic)
+    return harmonic, betweenness
+
+
+def _mc_estimate(g: UncertainGraph, cfg: McConfig, measures: tuple) -> list[CentralityVector]:
+    """Mean score of each of ``measures`` over the same cfg.samples sampled
+    worlds, one score vector per measure."""
+    for measure in measures:
+        require_nodes(measure, g.node_count)
     codes, counts = _sample_world_codes(g, cfg)
     chunks = [codes[i : i + _EVAL_CHUNK] for i in range(0, len(codes), _EVAL_CHUNK)]
-    kernel = (
-        harmonic_scores_from_adjacency
-        if measure == "harmonic"
-        else betweenness_scores_from_adjacency
-    )
-    fn = functools.partial(_eval_chunk, g, kernel)
-    values = _parallel.run_ordered(fn, chunks, cfg.workers)
-    scores = counts.astype(np.float64) @ np.concatenate(values, axis=0) / cfg.samples
-    return CentralityVector(
-        scores, method=f"mc-{measure}", params={"samples": cfg.samples}, seed=cfg.master_seed
-    )
+    kernel = {
+        ("harmonic",): harmonic_scores_from_adjacency,
+        ("betweenness",): betweenness_scores_from_adjacency,
+        ("harmonic", "betweenness"): _harmonic_betweenness_scores,
+    }[measures]
+    fn = functools.partial(_eval_chunk, g, kernel, len(measures))
+    values = np.concatenate(_parallel.run_ordered(fn, chunks, cfg.workers), axis=1)
+    weights = counts.astype(np.float64)
+    return [
+        CentralityVector(
+            weights @ values[j] / cfg.samples,
+            method=f"mc-{measure}",
+            params={"samples": cfg.samples},
+            seed=cfg.master_seed,
+        )
+        for j, measure in enumerate(measures)
+    ]
 
 
 def mc_harmonic(g: UncertainGraph, cfg: McConfig) -> CentralityVector:
     """Mean harmonic closeness over cfg.samples sampled worlds."""
-    return _mc_estimate(g, cfg, "harmonic")
+    return _mc_estimate(g, cfg, ("harmonic",))[0]
 
 
 def mc_betweenness(g: UncertainGraph, cfg: McConfig) -> CentralityVector:
     """Mean betweenness over cfg.samples sampled worlds."""
-    return _mc_estimate(g, cfg, "betweenness")
+    return _mc_estimate(g, cfg, ("betweenness",))[0]
+
+
+def mc_harmonic_betweenness(
+    g: UncertainGraph, cfg: McConfig
+) -> tuple[CentralityVector, CentralityVector]:
+    """(``mc_harmonic``, ``mc_betweenness``) from one pass: the worlds are
+    sampled once and each distinct world takes one forward sweep for both
+    measures. Equal to the two calls bit for bit."""
+    harmonic, betweenness = _mc_estimate(g, cfg, ("harmonic", "betweenness"))
+    return harmonic, betweenness

@@ -407,27 +407,75 @@ def _round_mass(preds, s: int, t: int, remaining: float):
     return sum(probs), remaining
 
 
-def _iter_round_masses(g: UncertainGraph, s: int, t: int, phi: float, first=None, bound=None):
-    """Yield (length, probability mass) per exploration round.
+def _add_round_shares(preds, s: int, t: int, sigma: float, remaining: float, shares, mass=False):
+    """Add each path's relative probability (remaining x its probability) to
+    ``sigma`` and to the share of each inner node in ``shares``; return
+    (sigma, remaining times the product of (1 - Pr) over the paths, s1).
 
-    Per round the new mass is the product of (1 - Pr) over all previously
-    found paths times the sum of the round's path probabilities. When the
-    accumulated mass would reach 1 the current length absorbs the remainder
-    and exploration stops (capping rule); the caller treats 1 minus the
-    yielded total as the disconnection mass.
+    s1, the sum of the round's path probabilities, is only summed when
+    ``mass`` asks for it (None otherwise). Up to ``_DP_PATHS`` paths are
+    enumerated; larger rounds are summed over the DAG.
     """
-    remaining = 1.0  # product of (1 - Pr(path)) over every found path
-    total = 0.0
+    try:
+        paths = _paths_with_inner(preds, s, t, _DP_PATHS)
+    except _TooManyPaths:
+        dag = _DagRound(preds, s, t)
+        for v, through in dag.inner_sums():
+            shares[v] = shares.get(v, 0.0) + remaining * through
+        return sigma + remaining * dag.s1, remaining * dag.survival, dag.s1
+    after = remaining
+    for prob, inner in paths:
+        rel = prob * remaining
+        sigma += rel
+        after *= 1.0 - prob
+        for v in inner:
+            shares[v] = shares.get(v, 0.0) + rel
+    return sigma, after, sum(p for p, _ in paths) if mass else None
+
+
+def _explore_pair(g: UncertainGraph, s, t, phi, first=None, bound=None, masses=None, shares=None):
+    """Run the exploration rounds of one pair; return (sigma, 1 - remaining).
+
+    ``remaining`` is the product of (1 - Pr) over every path found so far;
+    the rounds go on until 1 - remaining, the estimated connection
+    probability, reaches phi, or until t disconnects.
+
+    ``masses`` (a list) receives the estimated distance distribution, one
+    (length, remaining x the sum of the round's path probabilities) per
+    round. When the accumulated mass would reach 1, the current length takes
+    what is left and the distribution is complete (capping rule); the caller
+    treats 1 minus the total as the disconnection mass.
+
+    ``shares`` (a dict) receives each inner node's summed relative path
+    probability (remaining x Pr), and sigma sums it over every path. Without
+    ``shares`` the rounds stop at the cap. With both, the distribution's
+    rounds are a prefix of the shares' rounds: the path enumerations list
+    the same probabilities in the same order, so each measure computes the
+    same floats as when it runs alone.
+    """
+    remaining = 1.0
+    sigma = 0.0
+    total = 0.0  # mass in ``masses``
     rounds = _rounds(g, s, t, lambda: 1.0 - remaining >= phi, first, bound)
     for length, preds in rounds:
-        s1, after = _round_mass(preds, s, t, remaining)
-        new_mass = remaining * s1
-        if total + new_mass >= 1.0:
-            yield length, 1.0 - total
-            return
-        yield length, new_mass
-        total += new_mass
+        if shares is None:
+            s1, after = _round_mass(preds, s, t, remaining)
+        else:
+            sigma, after, s1 = _add_round_shares(
+                preds, s, t, sigma, remaining, shares, masses is not None
+            )
+        if masses is not None:
+            new_mass = remaining * s1
+            if total + new_mass >= 1.0:
+                masses.append((length, 1.0 - total))
+                if shares is None:
+                    break
+                masses = None  # complete; the shares' rounds go on
+            else:
+                masses.append((length, new_mass))
+                total += new_mass
         remaining = after
+    return sigma, 1.0 - remaining
 
 
 def psp_distance_distribution(
@@ -436,9 +484,11 @@ def psp_distance_distribution(
     """Estimated s-t distance distribution from explored shortest paths."""
     require_pair(g.node_count, s, t)
     require_phi(phi)
+    masses = []
+    _explore_pair(g, s, t, phi, masses=masses)
     mass = np.zeros(g.node_count)
     total = 0.0
-    for k, m in _iter_round_masses(g, s, t, phi):
+    for k, m in masses:
         mass[k] = m
         total += m
     return DistanceDistribution(s=s, t=t, mass=mass, mass_inf=1.0 - total)
@@ -454,18 +504,23 @@ def psp_distance_er(g: UncertainGraph, s: int, t: int, phi: float) -> float:
     return delta / gamma
 
 
-def _pair_gamma_delta(g, s, t, phi, first=None, bound=None):
-    """Finite mass (gamma) and its distance-weighted sum (delta) for a pair.
-
-    The reciprocal estimated distance is gamma / delta, with 0 for gamma = 0;
-    this avoids materializing the full distribution in the all-nodes loops.
-    """
+def _gamma_delta(masses):
+    """Finite mass (gamma) of a distance distribution and its distance-weighted
+    sum (delta); the reciprocal estimated distance is gamma / delta, with 0
+    for gamma = 0."""
     gamma = 0.0
     delta = 0.0
-    for k, m in _iter_round_masses(g, s, t, phi, first, bound):
+    for k, m in masses:
         gamma += m
         delta += k * m
     return gamma, delta
+
+
+def _pair_gamma_delta(g, s, t, phi, first=None, bound=None):
+    """``_gamma_delta`` of the estimated s-t distance distribution."""
+    masses = []
+    _explore_pair(g, s, t, phi, first, bound, masses)
+    return _gamma_delta(masses)
 
 
 def _reachable_targets(g: UncertainGraph, bounds, s: int):
@@ -481,8 +536,9 @@ def _reachable_targets(g: UncertainGraph, bounds, s: int):
             yield t, first, bounds[t]
 
 
-def _sum_source_tasks(g: UncertainGraph, phi: float, workers: int, task) -> np.ndarray:
-    """Sum ``task(g, phi, bounds, s)`` over the sources s < n - 1, in source order.
+def _sum_source_tasks(g: UncertainGraph, phi: float, workers: int, task, shape) -> np.ndarray:
+    """Sum ``task(g, phi, bounds, s)`` (arrays of ``shape``) over the sources
+    s < n - 1, in source order.
 
     At phi 0 no pair runs a round: there are no sources, so no round bounds
     are built and no pool starts. Otherwise they are built once per call.
@@ -491,21 +547,58 @@ def _sum_source_tasks(g: UncertainGraph, phi: float, workers: int, task) -> np.n
     sources = range(g.node_count - 1) if phi > 0.0 else range(0)
     bounds = _round_bounds(g) if sources else None
     partials = _parallel.run_ordered(functools.partial(task, g, phi, bounds), sources, workers)
-    scores = np.zeros(g.node_count)
+    scores = np.zeros(shape)
     for part in partials:
         scores += part
     return scores
 
 
+def _add_closeness(partial: np.ndarray, s: int, t: int, gamma: float, delta: float) -> None:
+    if gamma > 0.0:
+        recip = gamma / delta
+        partial[s] += recip
+        partial[t] += recip
+
+
+def _add_betweenness(partial: np.ndarray, shares, sigma: float, phi_st: float) -> None:
+    if sigma > 0.0:
+        for v, share in shares.items():
+            partial[v] += share / sigma * phi_st
+
+
 def _harmonic_source_task(g: UncertainGraph, phi: float, bounds, s: int) -> np.ndarray:
     partial = np.zeros(g.node_count)
     for t, first, bound in _reachable_targets(g, bounds, s):
-        gamma, delta = _pair_gamma_delta(g, s, t, phi, first, bound)
-        if gamma > 0.0:
-            recip = gamma / delta
-            partial[s] += recip
-            partial[t] += recip
+        _add_closeness(partial, s, t, *_pair_gamma_delta(g, s, t, phi, first, bound))
     return partial
+
+
+def _betweenness_source_task(
+    g: UncertainGraph, phi: float, bounds, s: int, closeness: bool = False
+) -> np.ndarray:
+    """Partial betweenness sums over the pairs (s, t > s); with ``closeness``
+    a (2, n) array whose first row holds the harmonic partial sums of the
+    same rounds."""
+    partial = np.zeros((2 if closeness else 1, g.node_count))
+    for t, first, bound in _reachable_targets(g, bounds, s):
+        masses = [] if closeness else None
+        shares = {}  # inner node -> summed relative path probability
+        sigma, phi_st = _explore_pair(g, s, t, phi, first, bound, masses, shares)
+        if closeness:
+            _add_closeness(partial[0], s, t, *_gamma_delta(masses))
+        _add_betweenness(partial[-1], shares, sigma, phi_st)
+    return partial if closeness else partial[0]
+
+
+def _harmonic_vector(scores: np.ndarray, phi: float) -> CentralityVector:
+    scores = scores / (len(scores) - 1)
+    return CentralityVector(scores, method="psp-harmonic", params={"phi": phi})
+
+
+def _betweenness_vector(scores: np.ndarray, phi: float) -> CentralityVector:
+    n = len(scores)
+    scores = scores * (2.0 / ((n - 1) * (n - 2)))
+    return CentralityVector(scores, method="psp-betweenness", params={"phi": phi})
 
 
 def psp_harmonic_all(g: UncertainGraph, phi: float, workers: int = 1) -> CentralityVector:
@@ -515,50 +608,8 @@ def psp_harmonic_all(g: UncertainGraph, phi: float, workers: int = 1) -> Central
     in source order so the output is identical for any worker count.
     """
     require_nodes("harmonic", g.node_count)
-    scores = _sum_source_tasks(g, phi, workers, _harmonic_source_task)
-    scores /= g.node_count - 1
-    return CentralityVector(scores, method="psp-harmonic", params={"phi": phi})
-
-
-def _add_round_shares(preds, s: int, t: int, sigma: float, remaining: float, shares):
-    """Add each path's relative probability (remaining x its probability) to
-    ``sigma`` and to the share of each inner node in ``shares``; return
-    (sigma, remaining times the product of (1 - Pr) over the paths).
-
-    Up to ``_DP_PATHS`` paths are enumerated; larger rounds are summed over
-    the DAG.
-    """
-    try:
-        paths = _paths_with_inner(preds, s, t, _DP_PATHS)
-    except _TooManyPaths:
-        dag = _DagRound(preds, s, t)
-        for v, through in dag.inner_sums():
-            shares[v] = shares.get(v, 0.0) + remaining * through
-        return sigma + remaining * dag.s1, remaining * dag.survival
-    after = remaining
-    for prob, inner in paths:
-        rel = prob * remaining
-        sigma += rel
-        after *= 1.0 - prob
-        for v in inner:
-            shares[v] = shares.get(v, 0.0) + rel
-    return sigma, after
-
-
-def _betweenness_source_task(g: UncertainGraph, phi: float, bounds, s: int) -> np.ndarray:
-    partial = np.zeros(g.node_count)
-    for t, first, bound in _reachable_targets(g, bounds, s):
-        shares = {}  # inner node -> summed relative path probability
-        sigma = 0.0
-        remaining = 1.0
-        rounds = _rounds(g, s, t, lambda: 1.0 - remaining >= phi, first, bound)
-        for _, preds in rounds:
-            sigma, remaining = _add_round_shares(preds, s, t, sigma, remaining, shares)
-        if sigma > 0.0:
-            phi_st = 1.0 - remaining
-            for v, share in shares.items():
-                partial[v] += share / sigma * phi_st
-    return partial
+    scores = _sum_source_tasks(g, phi, workers, _harmonic_source_task, g.node_count)
+    return _harmonic_vector(scores, phi)
 
 
 def psp_betweenness_all(g: UncertainGraph, phi: float, workers: int = 1) -> CentralityVector:
@@ -570,7 +621,22 @@ def psp_betweenness_all(g: UncertainGraph, phi: float, workers: int = 1) -> Cent
     count (fixed-order merge of per-source partials).
     """
     require_nodes("betweenness", g.node_count)
-    scores = _sum_source_tasks(g, phi, workers, _betweenness_source_task)
-    n = g.node_count
-    scores *= 2.0 / ((n - 1) * (n - 2))
-    return CentralityVector(scores, method="psp-betweenness", params={"phi": phi})
+    scores = _sum_source_tasks(g, phi, workers, _betweenness_source_task, g.node_count)
+    return _betweenness_vector(scores, phi)
+
+
+def psp_harmonic_betweenness_all(
+    g: UncertainGraph, phi: float, workers: int = 1
+) -> tuple[CentralityVector, CentralityVector]:
+    """(``psp_harmonic_all``, ``psp_betweenness_all``) from one exploration
+    per pair, equal to the two calls bit for bit.
+
+    Each pair's rounds run to the betweenness stop (phi reached, or the pair
+    disconnects). The harmonic distance estimate reads the rounds up to its
+    own stop (phi or the capping rule), which are a prefix of them, so the
+    pass does the BFS and min-edge work of ``psp_betweenness_all`` alone.
+    """
+    require_nodes("betweenness", g.node_count)
+    task = functools.partial(_betweenness_source_task, closeness=True)
+    closeness, between = _sum_source_tasks(g, phi, workers, task, (2, g.node_count))
+    return _harmonic_vector(closeness, phi), _betweenness_vector(between, phi)

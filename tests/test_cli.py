@@ -46,6 +46,7 @@ def test_generate_usage_error(tmp_path, capsys):
         (("rh", "--k", "inf", "--gamma", 3), "rh needs a finite k > 0"),
         (("rh", "--k", 6, "--gamma", "nan"), "rh needs a finite gamma > 2"),
         (("rh", "--k", 6, "--gamma", "inf"), "rh needs a finite gamma > 2"),
+        (("rh", "--k", 6, "--gamma", 3), "rh cannot reach average degree k=6 with n=10 nodes"),
     ]:
         with pytest.raises(SystemExit) as exc:
             run("generate", *options, "--n", 10, "-o", tmp_path / "x.el")
@@ -186,13 +187,15 @@ def test_sweep_rejects_a_bad_phi_grid_before_running(tmp_path, capsys, monkeypat
             return real(g, cfg)
         return mc
 
-    for name in ("mc_harmonic", "mc_betweenness"):
+    for name in ("mc_harmonic", "mc_betweenness", "mc_harmonic_betweenness"):
         monkeypatch.setattr(evaluation, name, recording(getattr(evaluation, name)))
     out_dir = tmp_path / "sweep"
-    # A negative seed is refused at the same point.
+    # A negative seed, and a model that cannot be built at the sweep's n, are
+    # refused at the same point.
     for option, message in [
         (("--phi-grid", "0.5,1.5"), "phi must lie in [0, 1]"),
         (("--seed", -1), "seed must be >= 0"),
+        (("--n", 10), "rh cannot reach average degree k=6 with n=10 nodes"),
     ]:
         code = run("reproduce", "random-graph-sweep", "--out-dir", out_dir, "--graphs-per-cell", 1,
                    "--n", 20, "--samples", 50, *option, "--jobs", 1)

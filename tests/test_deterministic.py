@@ -11,6 +11,7 @@ from psp_centrality import (
 from psp_centrality.deterministic import (
     betweenness_scores_from_adjacency,
     harmonic_scores_from_adjacency,
+    hop_distances,
 )
 
 from conftest import full_world, random_deterministic_graph, random_uncertain_graph, star_graph
@@ -185,6 +186,31 @@ def test_kernels_equal_full_matrix_reference_bit_for_bit():
             edges += [(hub, mid), (mid, hub + 4)]
     a = full_world(UncertainGraph(4 * k + 1, edges, [1.0] * len(edges))).adjacency_matrix()
     assert np.array_equal(betweenness_scores_from_adjacency(a), _full_matrix_betweenness(a))
+
+
+def test_betweenness_kernel_writes_the_harmonic_kernel_bit_for_bit():
+    # The betweenness forward sweep's levels give the harmonic scores too:
+    # on worlds with isolated nodes and several components, and on the
+    # 3**16-path chain where the sweep switches from float32 to float64.
+    rng = np.random.default_rng(41)
+    worlds = []
+    for edge_prob in (0.01, 0.03, 0.2):
+        for _ in range(5):
+            g = random_deterministic_graph(rng, n=60, edge_prob=edge_prob)
+            worlds.append(full_world(g).adjacency_matrix())
+    k = 16
+    edges = [(4 * i, mid) for i in range(k) for mid in range(4 * i + 1, 4 * i + 4)]
+    edges += [(mid, 4 * i + 4) for i in range(k) for mid in range(4 * i + 1, 4 * i + 4)]
+    chain = UncertainGraph(4 * k + 1, edges, [1.0] * len(edges))
+    worlds.append(full_world(chain).adjacency_matrix())
+    disconnected = 0
+    for a in worlds:
+        harmonic = np.full(a.shape[0], np.nan)
+        between = betweenness_scores_from_adjacency(a, harmonic)
+        assert between.tobytes() == betweenness_scores_from_adjacency(a).tobytes()
+        assert harmonic.tobytes() == harmonic_scores_from_adjacency(a).tobytes()
+        disconnected += -1 in hop_distances([np.flatnonzero(row) for row in a], 0)
+    assert disconnected >= 5
 
 
 def test_dense_kernels_match_networkx():

@@ -109,30 +109,51 @@ def test_run_experiment_psp_vs_oracle(detour):
     assert row[0] == "detour" and row[4] == "psp-harmonic" and row[5] == 0.8
 
 
-def test_phi_sweep_runs_one_baseline_per_graph_and_measure(monkeypatch):
-    from psp_centrality import evaluation
+def test_phi_sweep_runs_one_mc_pass_per_graph_and_one_psp_pass_per_phi(monkeypatch):
+    from psp_centrality import evaluation, experiments
     from psp_centrality.experiments import SweepSettings, phi_sweep
 
-    mc_graphs = []  # the graph of every MC baseline run, in call order
+    passes = []  # (graph, spec, milliseconds) of every timed run, in call order
+    real_run_timed = experiments.run_timed
 
-    def counting(real):
-        def mc(g, cfg):
-            mc_graphs.append(g)
-            return real(g, cfg)
-        return mc
+    def recording(g, spec):
+        timed = real_run_timed(g, spec)
+        passes.append((g, spec, timed[2]))
+        return timed
 
-    for name in ("mc_harmonic", "mc_betweenness"):
-        monkeypatch.setattr(evaluation, name, counting(getattr(evaluation, name)))
+    def refuse(name):
+        def single(*args):
+            raise AssertionError(f"the sweep ran {name}")
+        return single
+
+    monkeypatch.setattr(experiments, "run_timed", recording)
+    for name in ("mc_harmonic", "mc_betweenness", "psp_harmonic_all", "psp_betweenness_all"):
+        monkeypatch.setattr(evaluation, name, refuse(name))
+    phi_grid = (0.3, 0.6, 1.0)
     settings = SweepSettings(models=("ba",), dists=("uniform01",), graphs_per_cell=2, n=20,
-                             samples=50, phi_grid=(0.3, 0.6, 1.0), seed=5)
+                             samples=50, phi_grid=phi_grid, seed=5)
     reports = phi_sweep(settings)
-    assert len(reports) == 2 * 2 * 3 and len(mc_graphs) == 2 * 2
-    for i in range(0, len(reports), 3):
-        rows = reports[i:i + 3]
-        assert len({(r.graph_id, r.measure, r.runtime_b_ms) for r in rows}) == 1
-        # Every row still equals its own heuristic-versus-baseline experiment.
-        g = mc_graphs[i // 3]
+    monkeypatch.undo()
+    assert len(reports) == 2 * 2 * 3 and len(passes) == 2 * (1 + 3)
+    for graph_i in range(2):
+        (g, mc_spec, mc_ms), *psp_passes = passes[4 * graph_i:4 * graph_i + 4]
+        assert mc_spec["method"] == "mc-harmonic-betweenness"
+        assert [spec for _, spec, _ in psp_passes] == [
+            {"method": "psp-harmonic-betweenness", "phi": phi} for phi in phi_grid
+        ]
+        rows = reports[6 * graph_i:6 * graph_i + 6]
+        assert [(r.measure, r.method_a["phi"]) for r in rows] == [
+            (measure, phi) for measure in ("betweenness", "harmonic") for phi in phi_grid
+        ]
+        for k, (_, _, psp_ms) in enumerate(psp_passes):
+            betweenness, harmonic = rows[k], rows[3 + k]
+            # Each of a pass's two rows reports half of it.
+            assert betweenness.runtime_a_ms + harmonic.runtime_a_ms == psp_ms
+            assert betweenness.runtime_b_ms + harmonic.runtime_b_ms == mc_ms
         for r in rows:
+            assert r.method_a["method"] == f"psp-{r.measure}"
+            assert r.method_b == {"method": f"mc-{r.measure}", "samples": 50, "seed": r.seed}
+            # Every row still equals its own heuristic-versus-baseline experiment.
             alone = run_experiment(g, r.measure, r.method_a, r.method_b)
             assert (alone.mae, alone.scc) == (r.mae, r.scc)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from psp_centrality import GenSpec, assign_probabilities, gen_ba, gen_er, gen_rh, generate
+from psp_centrality.generators import _rh_radius
 
 
 def degrees(g):
@@ -159,3 +160,18 @@ def test_spec_validation_errors():
             GenSpec(model="rh", n=10, k=k, gamma=gamma).validate()
     with pytest.raises(ValueError, match="unknown probability distribution 'constant'"):
         GenSpec(model="er", n=10, p=0.5, prob_dist="constant").validate()
+
+
+def test_rh_degree_beyond_the_smallest_disk_names_n_and_k():
+    # Even the smallest disk joins only part of the pairs: about 0.587 (n - 1)
+    # expected neighbours, so k = 6 needs n >= 12.
+    message = r"rh cannot reach average degree k=6 with n=10 nodes \(at most 5\.28\)"
+    with pytest.raises(ValueError, match=message):
+        _rh_radius(10, 6.0, 1.0)
+    with pytest.raises(ValueError, match=message):
+        GenSpec(model="rh", n=10, k=6.0, gamma=3.0).validate()
+    with pytest.raises(ValueError, match=message):
+        gen_rh(10, 6.0, 3.0, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="k=1.5 with n=2 nodes"):
+        GenSpec(model="rh", n=2, k=1.5, gamma=3.0).validate()
+    assert gen_rh(12, 6.0, 3.0, np.random.default_rng(0)).node_count == 12

@@ -9,6 +9,7 @@ from psp_centrality import (
     harmonic_closeness,
     mc_betweenness,
     mc_harmonic,
+    mc_harmonic_betweenness,
 )
 from psp_centrality import monte_carlo
 
@@ -142,3 +143,28 @@ def test_kernels_run_once_per_distinct_world_looked_up_by_name(monkeypatch):
         monkeypatch.undo()
         assert len(worlds) == len(set(worlds)) == distinct
         assert chunks == [min(size, distinct - i) for i in range(0, distinct, size)]
+
+
+def test_joint_pass_equals_both_estimators_bit_for_bit(monkeypatch):
+    # One forward sweep per distinct world, through the betweenness kernel
+    # as monte_carlo looks it up, gives both score vectors. The graphs'
+    # sampled worlds are mostly disconnected (p = 0 edges, low density).
+    real_kernel = monte_carlo.betweenness_scores_from_adjacency
+    for seed, workers in ((3, 1), (4, 2), (5, 1)):
+        g = random_uncertain_graph(np.random.default_rng(seed), n=11, edge_prob=0.25)
+        cfg = McConfig(samples=700, master_seed=seed, workers=workers)
+        worlds = []
+
+        def counting_kernel(a, *out):
+            worlds.append(a.tobytes())
+            return real_kernel(a, *out)
+
+        monkeypatch.setattr(monte_carlo, "betweenness_scores_from_adjacency", counting_kernel)
+        harmonic, betweenness = mc_harmonic_betweenness(g, cfg)
+        monkeypatch.undo()
+        if workers == 1:
+            assert len(worlds) == len(monte_carlo._sample_world_codes(g, cfg)[0])
+        assert harmonic.scores.tobytes() == mc_harmonic(g, cfg).scores.tobytes()
+        assert betweenness.scores.tobytes() == mc_betweenness(g, cfg).scores.tobytes()
+        assert (harmonic.method, harmonic.seed) == ("mc-harmonic", seed)
+        assert (betweenness.method, betweenness.params) == ("mc-betweenness", {"samples": 700})

@@ -2,7 +2,7 @@ import inspect
 import math
 import sys
 import tracemalloc
-from collections import deque
+from collections import Counter, deque
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psp_centrality import (
+    GenSpec,
     UncertainGraph,
     all_shortest_paths_round,
     betweenness_brandes,
@@ -18,9 +19,10 @@ from psp_centrality import (
     psp_distance_distribution,
     psp_distance_er,
     psp_harmonic_all,
+    psp_harmonic_betweenness_all,
     retrieve_min_edges,
 )
-from psp_centrality import deterministic, psp
+from psp_centrality import deterministic, generate, psp
 from psp_centrality.psp import _forward_bfs, _path_probs, _paths_with_inner
 
 from conftest import full_world, random_deterministic_graph, random_uncertain_graph, star_graph
@@ -596,8 +598,8 @@ def test_dag_round_lists_paths_above_one_half():
     _assert_survival_accurate(dag.survival, probs)
     assert psp._round_mass(preds, 0, 24, 0.75) == (dag.s1, 0.75 * dag.survival)
     shares = {}
-    sigma, after = psp._add_round_shares(preds, 0, 24, 0.0, 0.75, shares)
-    assert (sigma, after) == (0.75 * dag.s1, 0.75 * dag.survival)
+    sigma, after, s1 = psp._add_round_shares(preds, 0, 24, 0.0, 0.75, shares)
+    assert (sigma, after, s1) == (0.75 * dag.s1, 0.75 * dag.survival, dag.s1)
     assert shares == {v: 0.75 * through for v, through in dag.inner_sums()}
 
 
@@ -959,6 +961,90 @@ def test_deterministic_reduction_any_phi():
         assert np.allclose(
             psp_betweenness_all(g, phi).scores, betweenness_brandes(w).scores, atol=1e-9
         )
+
+
+def _assert_joint_equals_both_drivers(g, phi, workers=1):
+    h, b = psp_harmonic_betweenness_all(g, phi, workers)
+    assert h.scores.tobytes() == psp_harmonic_all(g, phi).scores.tobytes()
+    assert b.scores.tobytes() == psp_betweenness_all(g, phi).scores.tobytes()
+    assert (h.method, h.params) == ("psp-harmonic", {"phi": phi})
+    assert (b.method, b.params) == ("psp-betweenness", {"phi": phi})
+
+
+def _round_work(monkeypatch, driver, g, phi):
+    """(_forward_bfs calls, retrieve_min_edges calls) of one driver call."""
+    counts = Counter()
+    real_bfs, real_min_edges = psp._forward_bfs, psp.retrieve_min_edges
+
+    def counting_bfs(*args, **kwargs):
+        counts["bfs"] += 1
+        return real_bfs(*args, **kwargs)
+
+    def counting_min_edges(*args):
+        counts["min_edges"] += 1
+        return real_min_edges(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(psp, "_forward_bfs", counting_bfs)
+        patch.setattr(psp, "retrieve_min_edges", counting_min_edges)
+        driver(g, phi)
+    return counts["bfs"], counts["min_edges"]
+
+
+@pytest.mark.parametrize("phi", (0.0, 0.3, 0.8, 1.0))
+def test_joint_pass_equals_both_drivers_bit_for_bit(phi, monkeypatch):
+    # The harmonic estimate stops at phi or at the capping rule; the joint
+    # pass keeps exploring a capped pair for betweenness alone. Pairs stop on
+    # the cap wherever the harmonic driver runs fewer BFS sweeps.
+    capped = 0
+    for i, g in enumerate(_bit_identity_graphs()):
+        _assert_joint_equals_both_drivers(g, phi, workers=2 if i < 2 else 1)
+        harmonic = _round_work(monkeypatch, psp_harmonic_all, g, phi)[0]
+        capped += harmonic < _round_work(monkeypatch, psp_betweenness_all, g, phi)[0]
+    assert capped > 0 or phi < 0.8
+    # The corner pair of this grid has 70 shortest paths, summed over the DAG.
+    built = _count_dag_rounds(monkeypatch)
+    _assert_joint_equals_both_drivers(top_right_grid(0.99, 0.05), phi, workers=2)
+    assert sum(built) > 0 or phi == 0.0
+
+
+def test_joint_pass_does_the_betweenness_work_alone(monkeypatch):
+    # Same BFS and min-edge calls as psp_betweenness_all at the same phi:
+    # the harmonic rounds are a prefix of the betweenness rounds.
+    capped = 0
+    for seed in range(6):
+        g = generate(GenSpec(model="er", n=30, p=0.15, prob_dist="uniform01", seed=seed))
+        for phi in (0.3, 0.8, 1.0):
+            joint = _round_work(monkeypatch, psp_harmonic_betweenness_all, g, phi)
+            assert joint == _round_work(monkeypatch, psp_betweenness_all, g, phi)
+            assert min(joint) > 0
+            capped += _round_work(monkeypatch, psp_harmonic_all, g, phi)[0] < joint[0]
+    assert capped > 0
+
+
+@st.composite
+def graphs_with_isolated_nodes(draw):
+    """Up to 10 connected-candidate nodes plus 1-3 isolated ones, labels
+    shuffled; likely edges make parallel paths trip the capping rule."""
+    n = draw(st.integers(min_value=3, max_value=10))
+    isolated = draw(st.integers(min_value=1, max_value=3))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True))
+    probs = draw(
+        st.lists(
+            st.sampled_from((0.3, 0.5, 0.9, 0.99, 1.0)),
+            min_size=len(edges),
+            max_size=len(edges),
+        )
+    )
+    label = draw(st.permutations(range(n + isolated)))
+    return UncertainGraph(n + isolated, [(label[u], label[v]) for u, v in edges], probs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs_with_isolated_nodes(), st.sampled_from((0.0, 0.3, 0.8, 1.0)))
+def test_joint_pass_equals_both_drivers_hypothesis(g, phi):
+    _assert_joint_equals_both_drivers(g, phi)
 
 
 def test_phi_zero_scores_are_zero(detour):
