@@ -20,7 +20,7 @@ from .deterministic import CentralityVector, as_scores
 from .graph_model import UncertainGraph
 from .monte_carlo import McConfig, mc_betweenness, mc_harmonic, mc_harmonic_betweenness
 from .possible_worlds import DEFAULT_ENUMERATION_CAP, exact_expected_centrality
-from .psp import psp_betweenness_all, psp_harmonic_all, psp_harmonic_betweenness_all
+from .psp import psp_betweenness_all, psp_harmonic_all
 
 
 def mae(a, b) -> float:
@@ -132,9 +132,9 @@ def compute_centrality(
     workers: int = 1,
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> CentralityVector | tuple[CentralityVector, CentralityVector]:
-    """Dispatch one of the six centrality methods by name, or one of the two
-    joint ones ("psp-harmonic-betweenness", "mc-harmonic-betweenness"),
-    which return a (harmonic, betweenness) pair from one pass."""
+    """Dispatch one of the six centrality methods by name, or the joint
+    "mc-harmonic-betweenness", which returns a (harmonic, betweenness) pair
+    from one pass."""
     if method == "psp-harmonic":
         return psp_harmonic_all(g, phi, workers)
     if method == "psp-betweenness":
@@ -143,8 +143,6 @@ def compute_centrality(
         return mc_harmonic(g, McConfig(samples, seed, workers))
     if method == "mc-betweenness":
         return mc_betweenness(g, McConfig(samples, seed, workers))
-    if method == "psp-harmonic-betweenness":
-        return psp_harmonic_betweenness_all(g, phi, workers)
     if method == "mc-harmonic-betweenness":
         return mc_harmonic_betweenness(g, McConfig(samples, seed, workers))
     if method == "exact-harmonic":
@@ -154,19 +152,26 @@ def compute_centrality(
     raise ValueError(f"unknown method {method!r}")
 
 
+def timed(fn, *args):
+    """(fn(*args), the milliseconds it took)."""
+    start = time.perf_counter()
+    out = fn(*args)
+    return out, (time.perf_counter() - start) * 1000.0
+
+
 def run_timed(g: UncertainGraph, spec: dict):
     """Run ``compute_centrality(g, **spec)``; return (scores, dict(spec), milliseconds)."""
-    start = time.perf_counter()
-    vec = compute_centrality(g, **spec)
-    return vec, dict(spec), (time.perf_counter() - start) * 1000.0
+    vec, ms = timed(lambda: compute_centrality(g, **spec))
+    return vec, dict(spec), ms
 
 
-def split_joint_run(timed) -> dict:
+def split_joint_run(run) -> dict:
     """Per measure, the (scores, descriptor, milliseconds) run of a joint
-    run of ``run_timed``: each descriptor names its own method
-    ("psp-harmonic-betweenness" -> "psp-harmonic", "psp-betweenness") and
-    each run takes half the joint runtime, so the halves sum to it."""
-    vecs, spec, ms = timed
+    ((harmonic, betweenness), descriptor, milliseconds) run: each descriptor
+    names its own method ("mc-harmonic-betweenness" -> "mc-harmonic",
+    "mc-betweenness") and each run takes half the joint runtime, so the
+    halves sum to it."""
+    vecs, spec, ms = run
     family = spec["method"].split("-", 1)[0]
     return {
         measure: (vec, {**spec, "method": f"{family}-{measure}"}, ms / 2.0)

@@ -23,12 +23,13 @@ from .evaluation import (
     compare_runs,
     run_timed,
     split_joint_run,
+    timed,
     write_reports_csv,
 )
 from .generators import GenSpec, generate
 from .graph_model import UncertainGraph
 from .possible_worlds import distance_er, exact_distance_distribution
-from .psp import psp_distance_distribution, psp_distance_er
+from .psp import psp_distance_distribution, psp_distance_er, psp_harmonic_betweenness_grid
 
 
 def parallel_paths_graph() -> UncertainGraph:
@@ -109,14 +110,22 @@ def _sweep_cell(cfg: SweepSettings, task) -> list[ExperimentReport]:
     g = generate(_model_spec(model, dist, cfg.n, graph_seed))
     graph_id = f"{model}-{dist}-{graph_i:02d}"
     labels = {"graph_id": graph_id, "model": model, "prob_dist": dist, "seed": mc_seed}
-    # One MC pass per graph and one PSP pass per (graph, phi) serve both
-    # measures. Every phi row compares against the one MC baseline and repeats
-    # its runtime; each of a pass's two rows reports half of that pass.
+    # One MC pass and one PSP pass per graph serve both measures and every
+    # phi. Every phi row compares against the one MC baseline and repeats its
+    # runtime. The PSP pass's time goes to the phi values in proportion to
+    # the rounds each needs alone, so it rises with phi as separate passes
+    # would; each of a phi's two rows reports half of its share.
     mc_spec = {"method": "mc-harmonic-betweenness", "samples": cfg.samples, "seed": mc_seed}
     baseline = split_joint_run(run_timed(g, mc_spec))
+    grid, psp_ms = timed(psp_harmonic_betweenness_grid, g, cfg.phi_grid)
+    rounds = sum(row.rounds for row in grid)
     heuristics = [
-        split_joint_run(run_timed(g, {"method": "psp-harmonic-betweenness", "phi": phi}))
-        for phi in cfg.phi_grid
+        split_joint_run((
+            (row.harmonic, row.betweenness),
+            {"method": "psp-harmonic-betweenness", "phi": phi},
+            psp_ms * row.rounds / rounds if rounds else psp_ms / len(grid),
+        ))
+        for phi, row in zip(cfg.phi_grid, grid)
     ]
     return [
         compare_runs(measure, heuristic[measure], baseline[measure], **labels)
@@ -128,8 +137,10 @@ def _sweep_cell(cfg: SweepSettings, task) -> list[ExperimentReport]:
 def phi_sweep(settings: SweepSettings) -> list[ExperimentReport]:
     """Run the sweep; one report per (graph, measure, phi), in fixed order.
 
-    The seed, every phi of the grid and every model's parameters at the
-    sweep's n are checked before any graph is generated.
+    Each graph gets one Monte Carlo pass and one PSP pass for the whole phi
+    grid (``psp_harmonic_betweenness_grid``); the rows equal those of one
+    pass per phi. The seed, every phi of the grid and every model's
+    parameters at the sweep's n are checked before any graph is generated.
     """
     require_seed(settings.seed)
     for phi in settings.phi_grid:

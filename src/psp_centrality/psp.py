@@ -108,13 +108,17 @@ def _forward_bfs(g: UncertainGraph, s: int, t: int, deleted, *, hops_to_t=None, 
                 break
             low = least[curr]
             d_next = d_curr + 1
+            slack = bound - d_next  # hops to t a new node may still need
             for child, p, ekey in adj[curr]:
-                if ekey in deleted:
-                    continue
+                # The deletion set is looked up last: most edges lead to a
+                # node already found at a lower level, or one the bound cuts.
                 d_child = dist[child]
                 if d_child < 0:
-                    if hops_to_t is not None and d_next + hops_to_t[child] > bound:
-                        rejected = True
+                    if hops_to_t is not None and hops_to_t[child] > slack:
+                        if not rejected and ekey not in deleted:
+                            rejected = True
+                        continue
+                    if ekey in deleted:
                         continue
                     dist[child] = d_next
                     preds[child] = [(curr, p)]
@@ -122,7 +126,7 @@ def _forward_bfs(g: UncertainGraph, s: int, t: int, deleted, *, hops_to_t=None, 
                     least[child] = p if p < low else low
                     if child == t:
                         t_dist = d_next
-                elif d_child == d_next:
+                elif d_child == d_next and ekey not in deleted:
                     preds[child].append((curr, p))
                     via = p if p < low else low
                     if via < least[child]:
@@ -358,14 +362,13 @@ def all_shortest_paths_round(
     return ExplorationRound(dist[t], _path_probs(preds, s, t), min_edges)
 
 
-def _rounds(g: UncertainGraph, s: int, t: int, done, first=None, bound=None):
+def _rounds(g: UncertainGraph, s: int, t: int, first=None, bound=None):
     """Drive the exploration rounds of one pair; yield (length, preds) per round.
 
-    ``done()`` is checked before every round, so the caller's phi test sees
-    the paths of the previous round. Only when ``done()`` asks for another
-    round is one minimal edge per shortest path of the last round deleted, so
-    a pair that stops (phi reached, or the caller's capping rule) retrieves
-    no edges it would not use. Stops when t becomes unreachable.
+    Only when the caller asks for another round is one minimal edge per
+    shortest path of the last round deleted, so a pair that stops (phi
+    reached, or the caller's capping rule) retrieves no edges it would not
+    use. Stops when t becomes unreachable.
 
     The all-nodes drivers pass ``first``, the (dist, preds, least) of a full
     BFS from s without deletions, which serves as round one, and t's entry
@@ -377,7 +380,7 @@ def _rounds(g: UncertainGraph, s: int, t: int, done, first=None, bound=None):
     hops_to_t, growth = bound or (None, 1)
     deleted = set()
     length = 0
-    while not done():
+    while True:
         if length:
             deleted.update(retrieve_min_edges(t, preds, least))
             first = None
@@ -433,12 +436,17 @@ def _add_round_shares(preds, s: int, t: int, sigma: float, remaining: float, sha
     return sigma, after, sum(p for p, _ in paths) if mass else None
 
 
-def _explore_pair(g: UncertainGraph, s, t, phi, first=None, bound=None, masses=None, shares=None):
-    """Run the exploration rounds of one pair; return (sigma, 1 - remaining).
+def _explore_pair(
+    g: UncertainGraph, s, t, phis, first=None, bound=None, masses=None, shares=None
+):
+    """Run the exploration rounds of one pair up to the largest of the
+    ascending ``phis``; yield (sigma, 1 - remaining, rounds run) once per phi,
+    in order, at the point where a pass at that phi alone stops.
 
     ``remaining`` is the product of (1 - Pr) over every path found so far;
-    the rounds go on until 1 - remaining, the estimated connection
-    probability, reaches phi, or until t disconnects.
+    a pass at phi runs rounds until 1 - remaining, the estimated connection
+    probability, reaches phi, or until t disconnects. The rounds do not
+    depend on phi, so a smaller phi stops at a prefix of a larger one's.
 
     ``masses`` (a list) receives the estimated distance distribution, one
     (length, remaining x the sum of the round's path probabilities) per
@@ -451,31 +459,39 @@ def _explore_pair(g: UncertainGraph, s, t, phi, first=None, bound=None, masses=N
     ``shares`` the rounds stop at the cap. With both, the distribution's
     rounds are a prefix of the shares' rounds: the path enumerations list
     the same probabilities in the same order, so each measure computes the
-    same floats as when it runs alone.
+    same floats as when it runs alone. At each yield, ``masses`` and
+    ``shares`` hold what a pass at that phi alone leaves in them.
     """
     remaining = 1.0
     sigma = 0.0
     total = 0.0  # mass in ``masses``
-    rounds = _rounds(g, s, t, lambda: 1.0 - remaining >= phi, first, bound)
-    for length, preds in rounds:
-        if shares is None:
-            s1, after = _round_mass(preds, s, t, remaining)
-        else:
-            sigma, after, s1 = _add_round_shares(
-                preds, s, t, sigma, remaining, shares, masses is not None
-            )
-        if masses is not None:
-            new_mass = remaining * s1
-            if total + new_mass >= 1.0:
-                masses.append((length, 1.0 - total))
+    count = 0
+    rounds = _rounds(g, s, t, first, bound)
+    for phi in phis:
+        if 1.0 - remaining < phi:
+            for length, preds in rounds:
+                count += 1
                 if shares is None:
+                    s1, after = _round_mass(preds, s, t, remaining)
+                else:
+                    sigma, after, s1 = _add_round_shares(
+                        preds, s, t, sigma, remaining, shares, masses is not None
+                    )
+                if masses is not None:
+                    new_mass = remaining * s1
+                    if total + new_mass >= 1.0:
+                        masses.append((length, 1.0 - total))
+                        if shares is None:
+                            rounds.close()  # no more rounds for any phi
+                            break
+                        masses = None  # complete; the shares' rounds go on
+                    else:
+                        masses.append((length, new_mass))
+                        total += new_mass
+                remaining = after
+                if 1.0 - remaining >= phi:
                     break
-                masses = None  # complete; the shares' rounds go on
-            else:
-                masses.append((length, new_mass))
-                total += new_mass
-        remaining = after
-    return sigma, 1.0 - remaining
+        yield sigma, 1.0 - remaining, count
 
 
 def psp_distance_distribution(
@@ -485,7 +501,7 @@ def psp_distance_distribution(
     require_pair(g.node_count, s, t)
     require_phi(phi)
     masses = []
-    _explore_pair(g, s, t, phi, masses=masses)
+    [_] = _explore_pair(g, s, t, (phi,), masses=masses)
     mass = np.zeros(g.node_count)
     total = 0.0
     for k, m in masses:
@@ -519,7 +535,7 @@ def _gamma_delta(masses):
 def _pair_gamma_delta(g, s, t, phi, first=None, bound=None):
     """``_gamma_delta`` of the estimated s-t distance distribution."""
     masses = []
-    _explore_pair(g, s, t, phi, first, bound, masses)
+    [_] = _explore_pair(g, s, t, (phi,), first, bound, masses)
     return _gamma_delta(masses)
 
 
@@ -536,31 +552,34 @@ def _reachable_targets(g: UncertainGraph, bounds, s: int):
             yield t, first, bounds[t]
 
 
-def _sum_source_tasks(g: UncertainGraph, phi: float, workers: int, task, shape) -> np.ndarray:
-    """Sum ``task(g, phi, bounds, s)`` (arrays of ``shape``) over the sources
-    s < n - 1, in source order.
+def _source_partials(g: UncertainGraph, reach: float, workers: int, task) -> list:
+    """``task(bounds, s)`` for every source s < n - 1, in source order, for
+    rounds that run up to phi ``reach``.
 
-    At phi 0 no pair runs a round: there are no sources, so no round bounds
+    At reach 0 no pair runs a round: there are no sources, so no round bounds
     are built and no pool starts. Otherwise they are built once per call.
     """
-    require_phi(phi)
-    sources = range(g.node_count - 1) if phi > 0.0 else range(0)
+    sources = range(g.node_count - 1) if reach > 0.0 else range(0)
     bounds = _round_bounds(g) if sources else None
-    partials = _parallel.run_ordered(functools.partial(task, g, phi, bounds), sources, workers)
-    scores = np.zeros(shape)
-    for part in partials:
-        scores += part
-    return scores
+    return _parallel.run_ordered(functools.partial(task, bounds), sources, workers)
 
 
-def _add_closeness(partial: np.ndarray, s: int, t: int, gamma: float, delta: float) -> None:
+def _merged(parts, shape, dtype=float) -> np.ndarray:
+    """Sum of per-source arrays of ``shape``, added in source order."""
+    total = np.zeros(shape, dtype)
+    for part in parts:
+        total += part
+    return total
+
+
+def _add_closeness(partial, s: int, t: int, gamma: float, delta: float) -> None:
     if gamma > 0.0:
         recip = gamma / delta
         partial[s] += recip
         partial[t] += recip
 
 
-def _add_betweenness(partial: np.ndarray, shares, sigma: float, phi_st: float) -> None:
+def _add_betweenness(partial, shares, sigma: float, phi_st: float) -> None:
     if sigma > 0.0:
         for v, share in shares.items():
             partial[v] += share / sigma * phi_st
@@ -573,21 +592,33 @@ def _harmonic_source_task(g: UncertainGraph, phi: float, bounds, s: int) -> np.n
     return partial
 
 
-def _betweenness_source_task(
-    g: UncertainGraph, phi: float, bounds, s: int, closeness: bool = False
-) -> np.ndarray:
-    """Partial betweenness sums over the pairs (s, t > s); with ``closeness``
-    a (2, n) array whose first row holds the harmonic partial sums of the
-    same rounds."""
-    partial = np.zeros((2 if closeness else 1, g.node_count))
+def _betweenness_source_task(g: UncertainGraph, phi: float, bounds, s: int) -> np.ndarray:
+    partial = np.zeros(g.node_count)
     for t, first, bound in _reachable_targets(g, bounds, s):
-        masses = [] if closeness else None
         shares = {}  # inner node -> summed relative path probability
-        sigma, phi_st = _explore_pair(g, s, t, phi, first, bound, masses, shares)
-        if closeness:
-            _add_closeness(partial[0], s, t, *_gamma_delta(masses))
-        _add_betweenness(partial[-1], shares, sigma, phi_st)
-    return partial if closeness else partial[0]
+        [(sigma, phi_st, _)] = _explore_pair(g, s, t, (phi,), first, bound, shares=shares)
+        _add_betweenness(partial, shares, sigma, phi_st)
+    return partial
+
+
+def _grid_source_task(g: UncertainGraph, phis, bounds, s: int):
+    """Per phi of the ascending ``phis``, the harmonic and betweenness partial
+    sums over the pairs (s, t > s), as a (len(phis), 2, n) array, and the
+    rounds a pass at that phi alone runs for them."""
+    # Plain lists: per-element adds to them are cheaper than to numpy arrays
+    # and give the same floats.
+    partial = [([0.0] * g.node_count, [0.0] * g.node_count) for _ in phis]
+    rounds = [0] * len(phis)
+    for t, first, bound in _reachable_targets(g, bounds, s):
+        masses = []
+        shares = {}  # inner node -> summed relative path probability
+        stops = _explore_pair(g, s, t, phis, first, bound, masses, shares)
+        for k, (sigma, phi_st, count) in enumerate(stops):
+            closeness, between = partial[k]
+            _add_closeness(closeness, s, t, *_gamma_delta(masses))
+            _add_betweenness(between, shares, sigma, phi_st)
+            rounds[k] += count
+    return np.array(partial), rounds
 
 
 def _harmonic_vector(scores: np.ndarray, phi: float) -> CentralityVector:
@@ -608,7 +639,9 @@ def psp_harmonic_all(g: UncertainGraph, phi: float, workers: int = 1) -> Central
     in source order so the output is identical for any worker count.
     """
     require_nodes("harmonic", g.node_count)
-    scores = _sum_source_tasks(g, phi, workers, _harmonic_source_task, g.node_count)
+    require_phi(phi)
+    task = functools.partial(_harmonic_source_task, g, phi)
+    scores = _merged(_source_partials(g, phi, workers, task), g.node_count)
     return _harmonic_vector(scores, phi)
 
 
@@ -621,8 +654,51 @@ def psp_betweenness_all(g: UncertainGraph, phi: float, workers: int = 1) -> Cent
     count (fixed-order merge of per-source partials).
     """
     require_nodes("betweenness", g.node_count)
-    scores = _sum_source_tasks(g, phi, workers, _betweenness_source_task, g.node_count)
+    require_phi(phi)
+    task = functools.partial(_betweenness_source_task, g, phi)
+    scores = _merged(_source_partials(g, phi, workers, task), g.node_count)
     return _betweenness_vector(scores, phi)
+
+
+class PhiScores(NamedTuple):
+    """One phi of ``psp_harmonic_betweenness_grid``: both score vectors, and
+    the exploration rounds a pass at that phi alone runs, over all pairs."""
+
+    harmonic: CentralityVector
+    betweenness: CentralityVector
+    rounds: int
+
+
+def psp_harmonic_betweenness_grid(
+    g: UncertainGraph, phi_grid, workers: int = 1
+) -> list[PhiScores]:
+    """``psp_harmonic_betweenness_all`` at every phi of ``phi_grid``, in the
+    grid's order (duplicates included), from one exploration per pair.
+
+    Each pair runs its rounds once, up to the grid's largest phi. Every
+    smaller phi takes the pair's state where a pass at that phi alone stops
+    (its estimated connection probability reaches phi, or t disconnects),
+    so its scores equal that pass bit for bit. The pass does the BFS and
+    min-edge work of ``psp_betweenness_all`` at the largest phi alone. Every
+    phi is checked before any work; an empty grid gives [].
+    """
+    require_nodes("betweenness", g.node_count)
+    for phi in phi_grid:
+        require_phi(phi)
+    phis = sorted(set(phi_grid))
+    task = functools.partial(_grid_source_task, g, phis)
+    parts = _source_partials(g, max(phis, default=0.0), workers, task)
+    scores = _merged((p for p, _ in parts), (len(phis), 2, g.node_count))
+    rounds = _merged((r for _, r in parts), len(phis), int)
+    row = {phi: k for k, phi in enumerate(phis)}
+    return [
+        PhiScores(
+            _harmonic_vector(scores[row[phi], 0], phi),
+            _betweenness_vector(scores[row[phi], 1], phi),
+            int(rounds[row[phi]]),
+        )
+        for phi in phi_grid
+    ]
 
 
 def psp_harmonic_betweenness_all(
@@ -634,9 +710,8 @@ def psp_harmonic_betweenness_all(
     Each pair's rounds run to the betweenness stop (phi reached, or the pair
     disconnects). The harmonic distance estimate reads the rounds up to its
     own stop (phi or the capping rule), which are a prefix of them, so the
-    pass does the BFS and min-edge work of ``psp_betweenness_all`` alone.
+    pass does the BFS and min-edge work of ``psp_betweenness_all`` alone. It
+    is the one-phi case of ``psp_harmonic_betweenness_grid``.
     """
-    require_nodes("betweenness", g.node_count)
-    task = functools.partial(_betweenness_source_task, closeness=True)
-    closeness, between = _sum_source_tasks(g, phi, workers, task, (2, g.node_count))
-    return _harmonic_vector(closeness, phi), _betweenness_vector(between, phi)
+    [(harmonic, betweenness, _)] = psp_harmonic_betweenness_grid(g, (phi,), workers)
+    return harmonic, betweenness

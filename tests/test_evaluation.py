@@ -109,17 +109,25 @@ def test_run_experiment_psp_vs_oracle(detour):
     assert row[0] == "detour" and row[4] == "psp-harmonic" and row[5] == 0.8
 
 
-def test_phi_sweep_runs_one_mc_pass_per_graph_and_one_psp_pass_per_phi(monkeypatch):
+def test_phi_sweep_runs_one_mc_pass_and_one_psp_pass_per_graph(monkeypatch):
     from psp_centrality import evaluation, experiments
     from psp_centrality.experiments import SweepSettings, phi_sweep
 
-    passes = []  # (graph, spec, milliseconds) of every timed run, in call order
-    real_run_timed = experiments.run_timed
+    mc_passes = []  # (graph, spec, milliseconds) of every run_timed run, in call order
+    psp_passes = []  # (graph, phi grid, rows, milliseconds) of every PSP grid pass
+    real_run_timed, real_timed = experiments.run_timed, experiments.timed
+    real_grid = experiments.psp_harmonic_betweenness_grid
 
     def recording(g, spec):
         timed = real_run_timed(g, spec)
-        passes.append((g, spec, timed[2]))
+        mc_passes.append((g, spec, timed[2]))
         return timed
+
+    def recording_timed(fn, *args):
+        out, ms = real_timed(fn, *args)
+        assert fn is real_grid
+        psp_passes.append((*args, out, ms))
+        return out, ms
 
     def refuse(name):
         def single(*args):
@@ -127,6 +135,7 @@ def test_phi_sweep_runs_one_mc_pass_per_graph_and_one_psp_pass_per_phi(monkeypat
         return single
 
     monkeypatch.setattr(experiments, "run_timed", recording)
+    monkeypatch.setattr(experiments, "timed", recording_timed)
     for name in ("mc_harmonic", "mc_betweenness", "psp_harmonic_all", "psp_betweenness_all"):
         monkeypatch.setattr(evaluation, name, refuse(name))
     phi_grid = (0.3, 0.6, 1.0)
@@ -134,24 +143,29 @@ def test_phi_sweep_runs_one_mc_pass_per_graph_and_one_psp_pass_per_phi(monkeypat
                              samples=50, phi_grid=phi_grid, seed=5)
     reports = phi_sweep(settings)
     monkeypatch.undo()
-    assert len(reports) == 2 * 2 * 3 and len(passes) == 2 * (1 + 3)
+    assert len(reports) == 2 * 2 * 3 and len(mc_passes) == len(psp_passes) == 2
     for graph_i in range(2):
-        (g, mc_spec, mc_ms), *psp_passes = passes[4 * graph_i:4 * graph_i + 4]
+        g, mc_spec, mc_ms = mc_passes[graph_i]
         assert mc_spec["method"] == "mc-harmonic-betweenness"
-        assert [spec for _, spec, _ in psp_passes] == [
-            {"method": "psp-harmonic-betweenness", "phi": phi} for phi in phi_grid
-        ]
+        psp_g, psp_grid, psp_rows, psp_ms = psp_passes[graph_i]
+        assert (psp_g, psp_grid) == (g, phi_grid)
+        rounds = [row.rounds for row in psp_rows]
         rows = reports[6 * graph_i:6 * graph_i + 6]
         assert [(r.measure, r.method_a["phi"]) for r in rows] == [
             (measure, phi) for measure in ("betweenness", "harmonic") for phi in phi_grid
         ]
-        for k, (_, _, psp_ms) in enumerate(psp_passes):
-            betweenness, harmonic = rows[k], rows[3 + k]
-            # Each of a pass's two rows reports half of it.
-            assert betweenness.runtime_a_ms + harmonic.runtime_a_ms == psp_ms
+        # The graph's rows share its one PSP pass; a phi's share grows with
+        # the rounds it needs alone, and its two rows each take half.
+        assert math.isclose(sum(r.runtime_a_ms for r in rows), psp_ms)
+        betweenness_ms = [r.runtime_a_ms for r in rows[:3]]
+        assert betweenness_ms == [r.runtime_a_ms for r in rows[3:]]
+        assert betweenness_ms == sorted(betweenness_ms)
+        for ms, count in zip(betweenness_ms, rounds):
+            assert math.isclose(ms, psp_ms * count / sum(rounds) / 2.0)
+        for betweenness, harmonic in zip(rows[:3], rows[3:]):
             assert betweenness.runtime_b_ms + harmonic.runtime_b_ms == mc_ms
         for r in rows:
-            assert r.method_a["method"] == f"psp-{r.measure}"
+            assert r.method_a == {"method": f"psp-{r.measure}", "phi": r.method_a["phi"]}
             assert r.method_b == {"method": f"mc-{r.measure}", "samples": 50, "seed": r.seed}
             # Every row still equals its own heuristic-versus-baseline experiment.
             alone = run_experiment(g, r.measure, r.method_a, r.method_b)

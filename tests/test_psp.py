@@ -20,6 +20,7 @@ from psp_centrality import (
     psp_distance_er,
     psp_harmonic_all,
     psp_harmonic_betweenness_all,
+    psp_harmonic_betweenness_grid,
     retrieve_min_edges,
 )
 from psp_centrality import deterministic, generate, psp
@@ -496,7 +497,7 @@ def _rounds_past_threshold(g, pairs):
     """(preds, s, t) of every round of the given pairs, explored until they
     disconnect, that has more than ``_DP_PATHS`` shortest paths."""
     for s, t in pairs:
-        for _, preds in psp._rounds(g, s, t, lambda: False):
+        for _, preds in psp._rounds(g, s, t):
             try:
                 _path_probs(preds, s, t, psp._DP_PATHS)
             except psp._TooManyPaths:
@@ -991,6 +992,21 @@ def _round_work(monkeypatch, driver, g, phi):
     return counts["bfs"], counts["min_edges"]
 
 
+def _rounds_with_shares(monkeypatch, g, phi):
+    """Rounds of psp_betweenness_all(g, phi), counted by their share sums."""
+    calls = []
+    real = psp._add_round_shares
+
+    def counting(*args):
+        calls.append(None)
+        return real(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(psp, "_add_round_shares", counting)
+        psp_betweenness_all(g, phi)
+    return len(calls)
+
+
 @pytest.mark.parametrize("phi", (0.0, 0.3, 0.8, 1.0))
 def test_joint_pass_equals_both_drivers_bit_for_bit(phi, monkeypatch):
     # The harmonic estimate stops at phi or at the capping rule; the joint
@@ -1010,16 +1026,79 @@ def test_joint_pass_equals_both_drivers_bit_for_bit(phi, monkeypatch):
 
 def test_joint_pass_does_the_betweenness_work_alone(monkeypatch):
     # Same BFS and min-edge calls as psp_betweenness_all at the same phi:
-    # the harmonic rounds are a prefix of the betweenness rounds.
+    # the harmonic rounds are a prefix of the betweenness rounds. The grid
+    # pass does the work of psp_betweenness_all at its largest phi alone.
     capped = 0
+    grid = (0.3, 0.8, 1.0)
     for seed in range(6):
         g = generate(GenSpec(model="er", n=30, p=0.15, prob_dist="uniform01", seed=seed))
-        for phi in (0.3, 0.8, 1.0):
+        for phi in grid:
             joint = _round_work(monkeypatch, psp_harmonic_betweenness_all, g, phi)
             assert joint == _round_work(monkeypatch, psp_betweenness_all, g, phi)
             assert min(joint) > 0
             capped += _round_work(monkeypatch, psp_harmonic_all, g, phi)[0] < joint[0]
+        rows = []
+
+        def grid_pass(g, phis):
+            rows.extend(psp_harmonic_betweenness_grid(g, phis))
+
+        work = _round_work(monkeypatch, grid_pass, g, grid)
+        assert work == _round_work(monkeypatch, psp_betweenness_all, g, max(grid))
+        # Each phi counts the rounds a pass at that phi alone runs, which
+        # add their shares once each.
+        rounds = [row.rounds for row in rows]
+        assert rounds == [_rounds_with_shares(monkeypatch, g, phi) for phi in grid]
+        assert 0 < rounds[0] <= rounds[1] <= rounds[2]
     assert capped > 0
+
+
+GRID = (0.5, 0.0, 0.3, 1.0, 0.8, 0.3)  # unsorted, a duplicate, both ends
+
+
+def _assert_grid_equals_the_drivers(g, workers):
+    rows = psp_harmonic_betweenness_grid(g, GRID, workers)
+    assert len(rows) == len(GRID)
+    for phi, (h, b, _) in zip(GRID, rows):
+        assert h.scores.tobytes() == psp_harmonic_all(g, phi).scores.tobytes()
+        assert b.scores.tobytes() == psp_betweenness_all(g, phi).scores.tobytes()
+        joint_h, joint_b = psp_harmonic_betweenness_all(g, phi)
+        assert h.scores.tobytes() == joint_h.scores.tobytes()
+        assert b.scores.tobytes() == joint_b.scores.tobytes()
+        assert (h.method, h.params) == (joint_h.method, joint_h.params)
+        assert (b.method, b.params) == (joint_b.method, joint_b.params)
+        assert (h.method, b.method, h.params, b.params) == (
+            "psp-harmonic", "psp-betweenness", {"phi": phi}, {"phi": phi}
+        )
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+def test_grid_pass_equals_a_pass_per_phi_bit_for_bit(workers, monkeypatch):
+    # Every phi of the grid stops each pair where a pass at that phi alone
+    # stops, capped pairs included.
+    capped = 0
+    for g in _bit_identity_graphs():
+        _assert_grid_equals_the_drivers(g, workers)
+        for phi in (0.8, 1.0):
+            harmonic = _round_work(monkeypatch, psp_harmonic_all, g, phi)[0]
+            capped += harmonic < _round_work(monkeypatch, psp_betweenness_all, g, phi)[0]
+    assert capped > 0
+    # The corner pair of this grid has 70 shortest paths, summed over the DAG.
+    built = _count_dag_rounds(monkeypatch)
+    _assert_grid_equals_the_drivers(top_right_grid(0.99, 0.05), workers)
+    assert sum(built) > 0
+
+
+def test_grid_pass_checks_every_phi_before_any_work(detour, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(psp, "_round_bounds", refuse)
+    monkeypatch.setattr(psp, "_forward_bfs", refuse)
+    for grid in ((0.5, 1.5), (-0.1, 0.3), (0.2, 0.8, float("nan"))):
+        with pytest.raises(ValueError, match=r"phi must lie in \[0, 1\]"):
+            psp_harmonic_betweenness_grid(detour, grid)
+    assert psp_harmonic_betweenness_grid(detour, ()) == []
+    assert [row.rounds for row in psp_harmonic_betweenness_grid(detour, (0.0, 0.0))] == [0, 0]
 
 
 @st.composite
