@@ -187,6 +187,13 @@ def _cmd_compare(args) -> int:
     return 0
 
 
+def _grid_item(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"--phi-grid item {text!r} is not a number") from None
+
+
 def _cmd_reproduce(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     if args.suite == "figure-examples":
@@ -203,7 +210,7 @@ def _cmd_reproduce(args) -> int:
         return 0
     given = {"jobs": _workers(args.jobs)}
     if args.phi_grid is not None:
-        given["phi_grid"] = tuple(float(x) for x in args.phi_grid.split(","))
+        given["phi_grid"] = tuple(_grid_item(x) for x in args.phi_grid.split(","))
     settings = _settings(experiments.SweepSettings, args, **given)
     reports = experiments.phi_sweep(settings)
     experiments.write_sweep_outputs(args.out_dir, settings, reports)

@@ -18,7 +18,7 @@ from scipy.stats import rankdata
 
 from .deterministic import CentralityVector, as_scores
 from .graph_model import UncertainGraph
-from .monte_carlo import McConfig, mc_betweenness, mc_harmonic, mc_harmonic_betweenness
+from .monte_carlo import McConfig, mc_betweenness, mc_harmonic
 from .possible_worlds import DEFAULT_ENUMERATION_CAP, exact_expected_centrality
 from .psp import psp_betweenness_all, psp_harmonic_all
 
@@ -131,10 +131,8 @@ def compute_centrality(
     seed: int = 0,
     workers: int = 1,
     cap: int = DEFAULT_ENUMERATION_CAP,
-) -> CentralityVector | tuple[CentralityVector, CentralityVector]:
-    """Dispatch one of the six centrality methods by name, or the joint
-    "mc-harmonic-betweenness", which returns a (harmonic, betweenness) pair
-    from one pass."""
+) -> CentralityVector:
+    """Dispatch one of the six centrality methods by name."""
     if method == "psp-harmonic":
         return psp_harmonic_all(g, phi, workers)
     if method == "psp-betweenness":
@@ -143,8 +141,6 @@ def compute_centrality(
         return mc_harmonic(g, McConfig(samples, seed, workers))
     if method == "mc-betweenness":
         return mc_betweenness(g, McConfig(samples, seed, workers))
-    if method == "mc-harmonic-betweenness":
-        return mc_harmonic_betweenness(g, McConfig(samples, seed, workers))
     if method == "exact-harmonic":
         return exact_expected_centrality(g, "harmonic", cap)
     if method == "exact-betweenness":
@@ -163,20 +159,6 @@ def run_timed(g: UncertainGraph, spec: dict):
     """Run ``compute_centrality(g, **spec)``; return (scores, dict(spec), milliseconds)."""
     vec, ms = timed(lambda: compute_centrality(g, **spec))
     return vec, dict(spec), ms
-
-
-def split_joint_run(run) -> dict:
-    """Per measure, the (scores, descriptor, milliseconds) run of a joint
-    ((harmonic, betweenness), descriptor, milliseconds) run: each descriptor
-    names its own method ("mc-harmonic-betweenness" -> "mc-harmonic",
-    "mc-betweenness") and each run takes half the joint runtime, so the
-    halves sum to it."""
-    vecs, spec, ms = run
-    family = spec["method"].split("-", 1)[0]
-    return {
-        measure: (vec, {**spec, "method": f"{family}-{measure}"}, ms / 2.0)
-        for measure, vec in zip(("harmonic", "betweenness"), vecs)
-    }
 
 
 def run_experiment(

@@ -21,13 +21,12 @@ from .evaluation import (
     ExperimentReport,
     aggregate_reports,
     compare_runs,
-    run_timed,
-    split_joint_run,
     timed,
     write_reports_csv,
 )
 from .generators import GenSpec, generate
 from .graph_model import UncertainGraph
+from .monte_carlo import McConfig, mc_harmonic_betweenness
 from .possible_worlds import distance_er, exact_distance_distribution
 from .psp import psp_distance_distribution, psp_distance_er, psp_harmonic_betweenness_grid
 
@@ -110,28 +109,21 @@ def _sweep_cell(cfg: SweepSettings, task) -> list[ExperimentReport]:
     g = generate(_model_spec(model, dist, cfg.n, graph_seed))
     graph_id = f"{model}-{dist}-{graph_i:02d}"
     labels = {"graph_id": graph_id, "model": model, "prob_dist": dist, "seed": mc_seed}
-    # One MC pass and one PSP pass per graph serve both measures and every
-    # phi. Every phi row compares against the one MC baseline and repeats its
-    # runtime. The PSP pass's time goes to the phi values in proportion to
-    # the rounds each needs alone, so it rises with phi as separate passes
-    # would; each of a phi's two rows reports half of its share.
-    mc_spec = {"method": "mc-harmonic-betweenness", "samples": cfg.samples, "seed": mc_seed}
-    baseline = split_joint_run(run_timed(g, mc_spec))
+    # One MC pass and one PSP pass per graph, each (harmonic, betweenness, ...),
+    # serve every phi. Each measure takes half a pass's time: the MC time on
+    # every phi row, the PSP time shared out by the rounds each phi needs alone.
+    mc_pass, mc_ms = timed(mc_harmonic_betweenness, g, McConfig(cfg.samples, mc_seed))
     grid, psp_ms = timed(psp_harmonic_betweenness_grid, g, cfg.phi_grid)
     rounds = sum(row.rounds for row in grid)
-    heuristics = [
-        split_joint_run((
-            (row.harmonic, row.betweenness),
-            {"method": "psp-harmonic-betweenness", "phi": phi},
-            psp_ms * row.rounds / rounds if rounds else psp_ms / len(grid),
-        ))
-        for phi, row in zip(cfg.phi_grid, grid)
-    ]
-    return [
-        compare_runs(measure, heuristic[measure], baseline[measure], **labels)
-        for measure in ("betweenness", "harmonic")
-        for heuristic in heuristics
-    ]
+    reports = []
+    for j, measure in ((1, "betweenness"), (0, "harmonic")):
+        mc_spec = {"method": f"mc-{measure}", "samples": cfg.samples, "seed": mc_seed}
+        mc_run = (mc_pass[j], mc_spec, mc_ms / 2.0)
+        for phi, row in zip(cfg.phi_grid, grid):
+            ms = psp_ms * row.rounds / rounds if rounds else psp_ms / len(grid)
+            psp_run = (row[j], {"method": f"psp-{measure}", "phi": phi}, ms / 2.0)
+            reports.append(compare_runs(measure, psp_run, mc_run, **labels))
+    return reports
 
 
 def phi_sweep(settings: SweepSettings) -> list[ExperimentReport]:
@@ -139,10 +131,13 @@ def phi_sweep(settings: SweepSettings) -> list[ExperimentReport]:
 
     Each graph gets one Monte Carlo pass and one PSP pass for the whole phi
     grid (``psp_harmonic_betweenness_grid``); the rows equal those of one
-    pass per phi. The seed, every phi of the grid and every model's
-    parameters at the sweep's n are checked before any graph is generated.
+    pass per phi. The seed, graphs_per_cell, samples, every phi and every
+    model's parameters at the sweep's n are checked before any graph is made.
     """
     require_seed(settings.seed)
+    if settings.graphs_per_cell < 1:
+        raise ValueError("graphs_per_cell must be >= 1")
+    McConfig(settings.samples)
     for phi in settings.phi_grid:
         require_phi(phi)
     for model in settings.models:

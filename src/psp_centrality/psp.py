@@ -672,13 +672,14 @@ class PhiScores(NamedTuple):
 def psp_harmonic_betweenness_grid(
     g: UncertainGraph, phi_grid, workers: int = 1
 ) -> list[PhiScores]:
-    """``psp_harmonic_betweenness_all`` at every phi of ``phi_grid``, in the
-    grid's order (duplicates included), from one exploration per pair.
+    """``psp_harmonic_all`` and ``psp_betweenness_all`` at every phi of
+    ``phi_grid``, in the grid's order (duplicates included), from one
+    exploration per pair.
 
     Each pair runs its rounds once, up to the grid's largest phi. Every
     smaller phi takes the pair's state where a pass at that phi alone stops
     (its estimated connection probability reaches phi, or t disconnects),
-    so its scores equal that pass bit for bit. The pass does the BFS and
+    so its scores equal those calls bit for bit. The pass does the BFS and
     min-edge work of ``psp_betweenness_all`` at the largest phi alone. Every
     phi is checked before any work; an empty grid gives [].
     """
@@ -699,19 +700,3 @@ def psp_harmonic_betweenness_grid(
         )
         for phi in phi_grid
     ]
-
-
-def psp_harmonic_betweenness_all(
-    g: UncertainGraph, phi: float, workers: int = 1
-) -> tuple[CentralityVector, CentralityVector]:
-    """(``psp_harmonic_all``, ``psp_betweenness_all``) from one exploration
-    per pair, equal to the two calls bit for bit.
-
-    Each pair's rounds run to the betweenness stop (phi reached, or the pair
-    disconnects). The harmonic distance estimate reads the rounds up to its
-    own stop (phi or the capping rule), which are a prefix of them, so the
-    pass does the BFS and min-edge work of ``psp_betweenness_all`` alone. It
-    is the one-phi case of ``psp_harmonic_betweenness_grid``.
-    """
-    [(harmonic, betweenness, _)] = psp_harmonic_betweenness_grid(g, (phi,), workers)
-    return harmonic, betweenness

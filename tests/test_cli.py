@@ -177,31 +177,37 @@ def test_reproduce_sweep_rerun_identical(tmp_path):
 
 
 def test_sweep_rejects_a_bad_phi_grid_before_running(tmp_path, capsys, monkeypatch):
-    from psp_centrality import evaluation
+    from psp_centrality import evaluation, experiments
 
-    mc_calls = []
+    calls = []  # every graph generated and every MC pass run
 
     def recording(real):
-        def mc(g, cfg):
-            mc_calls.append(g)
-            return real(g, cfg)
-        return mc
+        def call(*args):
+            calls.append(real.__name__)
+            return real(*args)
+        return call
 
-    for name in ("mc_harmonic", "mc_betweenness", "mc_harmonic_betweenness"):
-        monkeypatch.setattr(evaluation, name, recording(getattr(evaluation, name)))
+    for module, name in ((evaluation, "mc_harmonic"), (evaluation, "mc_betweenness"),
+                         (experiments, "mc_harmonic_betweenness"), (experiments, "generate")):
+        monkeypatch.setattr(module, name, recording(getattr(module, name)))
     out_dir = tmp_path / "sweep"
-    # A negative seed, and a model that cannot be built at the sweep's n, are
-    # refused at the same point.
+    # A negative seed, a graph count or sample count below 1, and a model that
+    # cannot be built at the sweep's n, are refused at the same point.
     for option, message in [
         (("--phi-grid", "0.5,1.5"), "phi must lie in [0, 1]"),
+        (("--phi-grid", "0.5,"), "--phi-grid item '' is not a number"),
+        (("--phi-grid", "0.5,x"), "--phi-grid item 'x' is not a number"),
         (("--seed", -1), "seed must be >= 0"),
+        (("--graphs-per-cell", 0), "graphs_per_cell must be >= 1"),
+        (("--graphs-per-cell", -2), "graphs_per_cell must be >= 1"),
+        (("--samples", 0), "samples must be >= 1"),
         (("--n", 10), "rh cannot reach average degree k=6 with n=10 nodes"),
     ]:
         code = run("reproduce", "random-graph-sweep", "--out-dir", out_dir, "--graphs-per-cell", 1,
                    "--n", 20, "--samples", 50, *option, "--jobs", 1)
         assert code == 1
         assert_one_line_error(capsys, message)
-        assert mc_calls == []
+        assert calls == []
         assert not (out_dir / "sweep.csv").exists()
 
 

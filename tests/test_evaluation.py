@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psp_centrality import mae, run_experiment, scc
+from psp_centrality import McConfig, mae, run_experiment, scc
 from psp_centrality.evaluation import aggregate_reports, compute_centrality
 
 vectors = st.lists(
@@ -113,20 +113,19 @@ def test_phi_sweep_runs_one_mc_pass_and_one_psp_pass_per_graph(monkeypatch):
     from psp_centrality import evaluation, experiments
     from psp_centrality.experiments import SweepSettings, phi_sweep
 
-    mc_passes = []  # (graph, spec, milliseconds) of every run_timed run, in call order
+    mc_passes = []  # (graph, MC config, milliseconds) of every MC pass, in call order
     psp_passes = []  # (graph, phi grid, rows, milliseconds) of every PSP grid pass
-    real_run_timed, real_timed = experiments.run_timed, experiments.timed
+    real_timed = experiments.timed
+    real_mc = experiments.mc_harmonic_betweenness
     real_grid = experiments.psp_harmonic_betweenness_grid
 
-    def recording(g, spec):
-        timed = real_run_timed(g, spec)
-        mc_passes.append((g, spec, timed[2]))
-        return timed
-
-    def recording_timed(fn, *args):
-        out, ms = real_timed(fn, *args)
-        assert fn is real_grid
-        psp_passes.append((*args, out, ms))
+    def recording_timed(fn, g, arg):
+        out, ms = real_timed(fn, g, arg)
+        if fn is real_mc:
+            mc_passes.append((g, arg, ms))
+        else:
+            assert fn is real_grid
+            psp_passes.append((g, arg, out, ms))
         return out, ms
 
     def refuse(name):
@@ -134,7 +133,6 @@ def test_phi_sweep_runs_one_mc_pass_and_one_psp_pass_per_graph(monkeypatch):
             raise AssertionError(f"the sweep ran {name}")
         return single
 
-    monkeypatch.setattr(experiments, "run_timed", recording)
     monkeypatch.setattr(experiments, "timed", recording_timed)
     for name in ("mc_harmonic", "mc_betweenness", "psp_harmonic_all", "psp_betweenness_all"):
         monkeypatch.setattr(evaluation, name, refuse(name))
@@ -145,8 +143,8 @@ def test_phi_sweep_runs_one_mc_pass_and_one_psp_pass_per_graph(monkeypatch):
     monkeypatch.undo()
     assert len(reports) == 2 * 2 * 3 and len(mc_passes) == len(psp_passes) == 2
     for graph_i in range(2):
-        g, mc_spec, mc_ms = mc_passes[graph_i]
-        assert mc_spec["method"] == "mc-harmonic-betweenness"
+        g, mc_config, mc_ms = mc_passes[graph_i]
+        assert mc_config == McConfig(50, reports[6 * graph_i].seed)
         psp_g, psp_grid, psp_rows, psp_ms = psp_passes[graph_i]
         assert (psp_g, psp_grid) == (g, phi_grid)
         rounds = [row.rounds for row in psp_rows]
@@ -224,5 +222,7 @@ def test_aggregate_reports(detour):
 
 
 def test_compute_centrality_rejects_unknown(detour):
-    with pytest.raises(ValueError):
-        compute_centrality(detour, "pagerank")
+    # The sweep runs its joint MC pass itself; no method name dispatches to it.
+    for method in ("pagerank", "mc-harmonic-betweenness"):
+        with pytest.raises(ValueError, match="unknown method"):
+            compute_centrality(detour, method)

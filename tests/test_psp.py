@@ -19,7 +19,6 @@ from psp_centrality import (
     psp_distance_distribution,
     psp_distance_er,
     psp_harmonic_all,
-    psp_harmonic_betweenness_all,
     psp_harmonic_betweenness_grid,
     retrieve_min_edges,
 )
@@ -964,12 +963,15 @@ def test_deterministic_reduction_any_phi():
         )
 
 
-def _assert_joint_equals_both_drivers(g, phi, workers=1):
-    h, b = psp_harmonic_betweenness_all(g, phi, workers)
-    assert h.scores.tobytes() == psp_harmonic_all(g, phi).scores.tobytes()
-    assert b.scores.tobytes() == psp_betweenness_all(g, phi).scores.tobytes()
-    assert (h.method, h.params) == ("psp-harmonic", {"phi": phi})
-    assert (b.method, b.params) == ("psp-betweenness", {"phi": phi})
+def _assert_rows_equal_both_drivers(g, phi, rows):
+    """Every ``PhiScores`` row equals psp_harmonic_all and psp_betweenness_all
+    at phi bit for bit."""
+    harmonic, betweenness = psp_harmonic_all(g, phi), psp_betweenness_all(g, phi)
+    for h, b, _ in rows:
+        assert h.scores.tobytes() == harmonic.scores.tobytes()
+        assert b.scores.tobytes() == betweenness.scores.tobytes()
+        assert (h.method, h.params) == ("psp-harmonic", {"phi": phi})
+        assert (b.method, b.params) == ("psp-betweenness", {"phi": phi})
 
 
 def _round_work(monkeypatch, driver, g, phi):
@@ -1007,33 +1009,20 @@ def _rounds_with_shares(monkeypatch, g, phi):
     return len(calls)
 
 
-@pytest.mark.parametrize("phi", (0.0, 0.3, 0.8, 1.0))
-def test_joint_pass_equals_both_drivers_bit_for_bit(phi, monkeypatch):
-    # The harmonic estimate stops at phi or at the capping rule; the joint
-    # pass keeps exploring a capped pair for betweenness alone. Pairs stop on
-    # the cap wherever the harmonic driver runs fewer BFS sweeps.
-    capped = 0
-    for i, g in enumerate(_bit_identity_graphs()):
-        _assert_joint_equals_both_drivers(g, phi, workers=2 if i < 2 else 1)
-        harmonic = _round_work(monkeypatch, psp_harmonic_all, g, phi)[0]
-        capped += harmonic < _round_work(monkeypatch, psp_betweenness_all, g, phi)[0]
-    assert capped > 0 or phi < 0.8
-    # The corner pair of this grid has 70 shortest paths, summed over the DAG.
-    built = _count_dag_rounds(monkeypatch)
-    _assert_joint_equals_both_drivers(top_right_grid(0.99, 0.05), phi, workers=2)
-    assert sum(built) > 0 or phi == 0.0
-
-
 def test_joint_pass_does_the_betweenness_work_alone(monkeypatch):
     # Same BFS and min-edge calls as psp_betweenness_all at the same phi:
     # the harmonic rounds are a prefix of the betweenness rounds. The grid
     # pass does the work of psp_betweenness_all at its largest phi alone.
     capped = 0
     grid = (0.3, 0.8, 1.0)
+
+    def one_phi_pass(g, phi):
+        psp_harmonic_betweenness_grid(g, (phi,))
+
     for seed in range(6):
         g = generate(GenSpec(model="er", n=30, p=0.15, prob_dist="uniform01", seed=seed))
         for phi in grid:
-            joint = _round_work(monkeypatch, psp_harmonic_betweenness_all, g, phi)
+            joint = _round_work(monkeypatch, one_phi_pass, g, phi)
             assert joint == _round_work(monkeypatch, psp_betweenness_all, g, phi)
             assert min(joint) > 0
             capped += _round_work(monkeypatch, psp_harmonic_all, g, phi)[0] < joint[0]
@@ -1056,36 +1045,40 @@ GRID = (0.5, 0.0, 0.3, 1.0, 0.8, 0.3)  # unsorted, a duplicate, both ends
 
 
 def _assert_grid_equals_the_drivers(g, workers):
+    """Each row of a pass over GRID, and a one-phi pass at each of its phi
+    values, equals the two single-measure drivers at that phi."""
     rows = psp_harmonic_betweenness_grid(g, GRID, workers)
     assert len(rows) == len(GRID)
-    for phi, (h, b, _) in zip(GRID, rows):
-        assert h.scores.tobytes() == psp_harmonic_all(g, phi).scores.tobytes()
-        assert b.scores.tobytes() == psp_betweenness_all(g, phi).scores.tobytes()
-        joint_h, joint_b = psp_harmonic_betweenness_all(g, phi)
-        assert h.scores.tobytes() == joint_h.scores.tobytes()
-        assert b.scores.tobytes() == joint_b.scores.tobytes()
-        assert (h.method, h.params) == (joint_h.method, joint_h.params)
-        assert (b.method, b.params) == (joint_b.method, joint_b.params)
-        assert (h.method, b.method, h.params, b.params) == (
-            "psp-harmonic", "psp-betweenness", {"phi": phi}, {"phi": phi}
-        )
+    for phi, row in zip(GRID, rows):
+        [alone] = psp_harmonic_betweenness_grid(g, (phi,), workers)
+        _assert_rows_equal_both_drivers(g, phi, (row, alone))
 
 
 @pytest.mark.parametrize("workers", (1, 2))
 def test_grid_pass_equals_a_pass_per_phi_bit_for_bit(workers, monkeypatch):
     # Every phi of the grid stops each pair where a pass at that phi alone
-    # stops, capped pairs included.
-    capped = 0
+    # stops. The harmonic estimate stops at phi or at the capping rule; the
+    # pass keeps exploring a capped pair for betweenness alone. Pairs stop on
+    # the cap wherever the harmonic driver runs fewer BFS sweeps, at 0.8 and
+    # at 1.0.
+    capped = Counter()
     for g in _bit_identity_graphs():
         _assert_grid_equals_the_drivers(g, workers)
         for phi in (0.8, 1.0):
             harmonic = _round_work(monkeypatch, psp_harmonic_all, g, phi)[0]
-            capped += harmonic < _round_work(monkeypatch, psp_betweenness_all, g, phi)[0]
-    assert capped > 0
-    # The corner pair of this grid has 70 shortest paths, summed over the DAG.
+            capped[phi] += harmonic < _round_work(monkeypatch, psp_betweenness_all, g, phi)[0]
+    assert capped[0.8] > 0 and capped[1.0] > 0
+    # The corner pair of this grid has 70 shortest paths, summed over the DAG
+    # at every positive phi (counted in this process: by the drivers, and by
+    # the passes when they run serially).
+    dag_grid = top_right_grid(0.99, 0.05)
     built = _count_dag_rounds(monkeypatch)
-    _assert_grid_equals_the_drivers(top_right_grid(0.99, 0.05), workers)
-    assert sum(built) > 0
+    rows = psp_harmonic_betweenness_grid(dag_grid, GRID, workers)
+    for phi, row in zip(GRID, rows):
+        built.clear()
+        [alone] = psp_harmonic_betweenness_grid(dag_grid, (phi,), workers)
+        _assert_rows_equal_both_drivers(dag_grid, phi, (row, alone))
+        assert sum(built) > 0 or phi == 0.0
 
 
 def test_grid_pass_checks_every_phi_before_any_work(detour, monkeypatch):
@@ -1123,7 +1116,7 @@ def graphs_with_isolated_nodes(draw):
 @settings(max_examples=60, deadline=None)
 @given(graphs_with_isolated_nodes(), st.sampled_from((0.0, 0.3, 0.8, 1.0)))
 def test_joint_pass_equals_both_drivers_hypothesis(g, phi):
-    _assert_joint_equals_both_drivers(g, phi)
+    _assert_rows_equal_both_drivers(g, phi, psp_harmonic_betweenness_grid(g, (phi,)))
 
 
 def test_phi_zero_scores_are_zero(detour):
