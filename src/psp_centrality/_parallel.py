@@ -25,6 +25,12 @@ def _call_worker_fn(task):
     return _worker_fn(task)
 
 
+def require_workers(workers: int) -> None:
+    """Raise ValueError unless the worker count is >= 1."""
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+
+
 def run_ordered(fn, tasks, workers):
     """Map fn over tasks, returning the results in task order.
 
@@ -32,8 +38,7 @@ def run_ordered(fn, tasks, workers):
     worker (or at most one task) everything runs in-process; otherwise the
     pool forks at most one worker per task.
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    require_workers(workers)
     tasks = list(tasks)
     if workers == 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]

@@ -17,6 +17,7 @@ import os
 import sys
 
 from . import experiments, scores_io
+from .deterministic import require_phi
 from .evaluation import ConstantRanking, compare_runs, run_timed, write_reports_csv
 from .generators import GenSpec, generate
 from .graph_model import load_graph, save_graph
@@ -195,8 +196,11 @@ def _grid_item(text: str) -> float:
 
 
 def _cmd_reproduce(args) -> int:
-    os.makedirs(args.out_dir, exist_ok=True)
+    # Every setting is checked before the output directory is made, so a
+    # rejected run leaves nothing behind.
     if args.suite == "figure-examples":
+        require_phi(args.phi)
+        os.makedirs(args.out_dir, exist_ok=True)
         results = experiments.figure_examples(args.phi)
         path = os.path.join(args.out_dir, "figure_examples.json")
         with open(path, "w", encoding="utf-8") as fh:
@@ -212,6 +216,8 @@ def _cmd_reproduce(args) -> int:
     if args.phi_grid is not None:
         given["phi_grid"] = tuple(_grid_item(x) for x in args.phi_grid.split(","))
     settings = _settings(experiments.SweepSettings, args, **given)
+    settings.validate()
+    os.makedirs(args.out_dir, exist_ok=True)
     reports = experiments.phi_sweep(settings)
     experiments.write_sweep_outputs(args.out_dir, settings, reports)
     print(f"wrote {len(reports)} rows to {os.path.join(args.out_dir, 'sweep.csv')}",

@@ -84,6 +84,21 @@ class SweepSettings:
     seed: int = 2023
     jobs: int = 1
 
+    def validate(self) -> None:
+        """Raise ValueError on the first setting the sweep cannot run: the
+        seed, graphs_per_cell, samples, every phi, every model's parameters
+        at n, and jobs."""
+        require_seed(self.seed)
+        if self.graphs_per_cell < 1:
+            raise ValueError("graphs_per_cell must be >= 1")
+        McConfig(self.samples)
+        for phi in self.phi_grid:
+            require_phi(phi)
+        for model in self.models:
+            for dist in self.dists:
+                _model_spec(model, dist, self.n, self.seed).validate()
+        _parallel.require_workers(self.jobs)
+
 
 def _model_spec(model: str, dist: str, n: int, seed: int) -> GenSpec:
     if model == "er":
@@ -131,18 +146,9 @@ def phi_sweep(settings: SweepSettings) -> list[ExperimentReport]:
 
     Each graph gets one Monte Carlo pass and one PSP pass for the whole phi
     grid (``psp_harmonic_betweenness_grid``); the rows equal those of one
-    pass per phi. The seed, graphs_per_cell, samples, every phi and every
-    model's parameters at the sweep's n are checked before any graph is made.
+    pass per phi. ``settings.validate()`` runs before any graph is made.
     """
-    require_seed(settings.seed)
-    if settings.graphs_per_cell < 1:
-        raise ValueError("graphs_per_cell must be >= 1")
-    McConfig(settings.samples)
-    for phi in settings.phi_grid:
-        require_phi(phi)
-    for model in settings.models:
-        for dist in settings.dists:
-            _model_spec(model, dist, settings.n, settings.seed).validate()
+    settings.validate()
     tasks = [
         (mi, di, gi)
         for mi in range(len(settings.models))

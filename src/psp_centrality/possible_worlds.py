@@ -54,6 +54,8 @@ class DistanceDistribution:
 
 
 def _check_cap(g: UncertainGraph, cap: int) -> None:
+    if cap < 0:
+        raise ValueError("cap must be >= 0")
     k = g.uncertain_edge_count
     if k > cap:
         raise EnumerationCapExceeded(

@@ -21,8 +21,11 @@ worker count.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 from collections import deque
+from collections.abc import Sequence
 from typing import NamedTuple
 
 import numpy as np
@@ -62,7 +65,23 @@ class ExplorationRound(NamedTuple):
     min_edges: list[tuple[int, int]]
 
 
-def _forward_bfs(g: UncertainGraph, s: int, t: int, deleted, *, hops_to_t=None, bound=0):
+class _Goal(NamedTuple):
+    """One target t's entry of ``_round_bounds``.
+
+    ``hops[v]`` is v's hop distance to t in the graph without deletions (-1
+    outside t's component). ``toward[v]`` and ``within[v]`` hold the entries
+    (u, p, edge) of ``g.adj[v]`` with hops[u] < hops[v], and with hops[u] <=
+    hops[v]: those one hop closer to t, and those no farther from it, each
+    in adjacency order. ``growth`` is the least growth of a round's length.
+    """
+
+    hops: list[int]
+    toward: list[Sequence]
+    within: list[Sequence]
+    growth: int
+
+
+def _forward_bfs(g: UncertainGraph, s: int, t: int, deleted, *, goal=None, bound=0):
     """Level BFS from s over non-deleted edges, recording predecessors and
     each node's least edge probability.
 
@@ -77,19 +96,31 @@ def _forward_bfs(g: UncertainGraph, s: int, t: int, deleted, *, hops_to_t=None, 
     (dist, preds, least) where dist is -1 for unreached nodes and preds[v]
     lists (parent, edge probability) pairs.
 
-    With ``hops_to_t`` (hop distance to t in the graph without deletions) a
-    node found at level d is enqueued only when d + hops_to_t[node] <= bound.
-    Deletions only lengthen paths, so a node on a shortest s-t path passes
-    whenever bound >= that length, and so does every shortest-path
-    predecessor of a node that passes (hops change by at most 1 per edge).
-    The admitted nodes are thus found at their true levels and in the
-    unbounded queue order, so when t is reached, dist, preds and least agree
-    with the unbounded sweep on every node of the shortest-path predecessor
-    DAG, which is all that path enumeration and ``retrieve_min_edges`` read.
-    A bounded sweep that misses t after rejecting a node sweeps once more
-    without the bound; that second sweep is the unbounded sweep itself, so
-    its results agree on every node, and every call sweeps at most twice. If
-    nothing was rejected, the bound cut nothing and t is unreachable.
+    With ``goal`` (t's ``_Goal``) the sweep admits a node found at level d
+    only when d + hops[node] <= bound. Deletions only lengthen paths, so a
+    node on a shortest s-t path passes whenever bound >= that length, and
+    so does every shortest-path predecessor of a node that passes (hops
+    change by at most 1 per edge). The admitted nodes are thus found at
+    their true levels and in the unbounded queue order, so when t is
+    reached, dist, preds and least agree with the unbounded sweep on every
+    node of the shortest-path predecessor DAG, which is all that path
+    enumeration and ``retrieve_min_edges`` read.
+
+    Each list admits exactly what a per-edge test d + 1 + hops[child] <=
+    bound admits, so the sweep tests nothing per edge. A node dequeued at
+    level d has slack c = bound - d - hops[node], and c >= 0 because it was
+    admitted; only s can have c < 0, and then the bound cuts every edge, so
+    such a call sweeps once, without the bound. A neighbour lies at
+    hops[node] + k with k in {-1, 0, 1}, and is admitted (or gains this node
+    as a predecessor, which needs the same level) only when k <= c - 1. So
+    at c = 0 exactly the ``toward`` entries pass, at c = 1 exactly the
+    ``within`` entries, and at c >= 2 every entry. Each list keeps adjacency
+    order, so the entries that pass are scanned in the order the per-edge
+    test would scan them.
+
+    A bounded sweep that misses t sweeps once more without the bound; that
+    second sweep is the unbounded sweep itself, so its results agree on
+    every node, and every call sweeps at most twice.
     """
     n = g.node_count
     adj = g.adj
@@ -100,24 +131,27 @@ def _forward_bfs(g: UncertainGraph, s: int, t: int, deleted, *, hops_to_t=None, 
         least = [math.inf] * n
         queue = deque([s])
         t_dist = -1
-        rejected = False
+        if goal is not None:
+            hops, toward, within, _ = goal
+            if hops[s] > bound:
+                goal = None
         while queue:
             curr = queue.popleft()
             d_curr = dist[curr]
             if t_dist >= 0 and d_curr >= t_dist:
                 break
+            if goal is None:
+                nbrs = adj[curr]
+            else:
+                slack = bound - d_curr - hops[curr]
+                nbrs = adj[curr] if slack > 1 else within[curr] if slack else toward[curr]
             low = least[curr]
             d_next = d_curr + 1
-            slack = bound - d_next  # hops to t a new node may still need
-            for child, p, ekey in adj[curr]:
+            for child, p, ekey in nbrs:
                 # The deletion set is looked up last: most edges lead to a
-                # node already found at a lower level, or one the bound cuts.
+                # node already found at a lower level.
                 d_child = dist[child]
                 if d_child < 0:
-                    if hops_to_t is not None and hops_to_t[child] > slack:
-                        if not rejected and ekey not in deleted:
-                            rejected = True
-                        continue
                     if ekey in deleted:
                         continue
                     dist[child] = d_next
@@ -131,34 +165,57 @@ def _forward_bfs(g: UncertainGraph, s: int, t: int, deleted, *, hops_to_t=None, 
                     via = p if p < low else low
                     if via < least[child]:
                         least[child] = via
-        if t_dist >= 0 or not rejected:
+        if t_dist >= 0 or goal is None:
             return dist, preds, least
-        hops_to_t = None
+        goal = None
 
 
-def _hop_table(g: UncertainGraph) -> list[list[int]]:
-    """Hop distance between every two nodes, ignoring probabilities.
+def _round_bounds(g: UncertainGraph) -> list[_Goal]:
+    """Per target t, its ``_Goal``: hop row, next-hop lists and growth.
 
-    Row t holds each node's distance to t (-1 outside t's component); it is
-    the lower bound that ``_forward_bfs`` prunes later rounds with. n x n
-    small ints, built with one plain BFS per node.
+    One plain BFS from t gives the row, and the hop steps along every
+    adjacency entry select each node's lists. A later round is at least one
+    hop longer than the last, and two when t's component is bipartite,
+    where every s-t path has the same parity. It is bipartite unless an
+    edge joins two nodes at the same hop distance from t.
+
+    The lists are built node by node: a node's list is the same for every
+    target that selects the same entries, so it is built once and shared,
+    and a list that filters nothing out is the node's own ``g.adj[v]``. The
+    lists of t itself and of nodes outside t's component are never read.
+    A list that drops entries is a list, not a tuple: CPython keeps up to
+    2,000 freed tuples of each length below 20 for reuse, so tuples freed
+    when a driver returns stay allocated, which raised the benchmark's peak
+    RSS by about 3.5 MB.
     """
-    adj = g.neighbor_lists(g.probs > 0.0)
-    return [hop_distances(adj, t) for t in range(g.node_count)]
-
-
-def _round_bounds(g: UncertainGraph) -> list[tuple[list[int], int]]:
-    """Per target t, (t's hop row, least growth of a round's length).
-
-    A later round is at least one hop longer than the last, and two when t's
-    component is bipartite, where every s-t path has the same parity. It is
-    bipartite unless an edge joins two nodes at the same hop distance from t.
-    """
-    edges = {e for nbrs in g.adj for _, _, e in nbrs}
-    return [
-        (row, 1 if any(row[u] == row[v] >= 0 for u, v in edges) else 2)
-        for row in _hop_table(g)
-    ]
+    adj = g.adj
+    n = g.node_count
+    nbrs = [[v for v, _, _ in edges] for edges in adj]
+    heads = np.array([v for row in nbrs for v in row], dtype=np.intp)
+    tails = np.repeat(np.arange(n), [len(row) for row in nbrs])
+    rows, growth, toward_flags, within_flags = [], [], [], []
+    for t in range(n):
+        hops = hop_distances(nbrs, t)
+        h = np.array(hops)
+        step = h[heads] - h[tails]  # -1, 0 or 1 inside t's component, 0 outside
+        rows.append(hops)
+        growth.append(1 if np.any((step == 0) & (h[tails] >= 0)) else 2)
+        toward_flags.append((step < 0).tobytes())
+        within_flags.append((step <= 0).tobytes())
+    toward = [[None] * n for _ in range(n)]  # every slot is set below
+    within = [[None] * n for _ in range(n)]
+    ends = list(itertools.accumulate(map(len, nbrs)))
+    for v, (edges, span) in enumerate(zip(adj, map(slice, [0] + ends[:-1], ends))):
+        shared = {}  # selector -> selected entries
+        for flags, lists in ((toward_flags, toward), (within_flags, within)):
+            for slots, key in zip(lists, map(operator.itemgetter(span), flags)):
+                found = shared.get(key)
+                if found is None:
+                    found = shared[key] = (
+                        edges if 0 not in key else list(itertools.compress(edges, key))
+                    )
+                slots[v] = found
+    return list(map(_Goal, rows, toward, within, growth))
 
 
 def retrieve_min_edges(t: int, preds, least):
@@ -362,7 +419,7 @@ def all_shortest_paths_round(
     return ExplorationRound(dist[t], _path_probs(preds, s, t), min_edges)
 
 
-def _rounds(g: UncertainGraph, s: int, t: int, first=None, bound=None):
+def _rounds(g: UncertainGraph, s: int, t: int, first=None, goal=None):
     """Drive the exploration rounds of one pair; yield (length, preds) per round.
 
     Only when the caller asks for another round is one minimal edge per
@@ -371,13 +428,13 @@ def _rounds(g: UncertainGraph, s: int, t: int, first=None, bound=None):
     use. Stops when t becomes unreachable.
 
     The all-nodes drivers pass ``first``, the (dist, preds, least) of a full
-    BFS from s without deletions, which serves as round one, and t's entry
-    of ``_round_bounds``, which bounds every later round: each shortest path
-    lost an edge, so the next length is at least the last one plus the
-    entry's growth. Without it (the single-pair API) ``_forward_bfs`` runs
+    BFS from s without deletions, which serves as round one, and t's
+    ``_Goal``, which bounds every later round: each shortest path lost an
+    edge, so the next length is at least the last one plus the goal's
+    growth. Without it (the single-pair API) ``_forward_bfs`` runs
     unbounded.
     """
-    hops_to_t, growth = bound or (None, 1)
+    growth = 1 if goal is None else goal.growth
     deleted = set()
     length = 0
     while True:
@@ -385,7 +442,7 @@ def _rounds(g: UncertainGraph, s: int, t: int, first=None, bound=None):
             deleted.update(retrieve_min_edges(t, preds, least))
             first = None
         dist, preds, least = first or _forward_bfs(
-            g, s, t, deleted, hops_to_t=hops_to_t, bound=length + growth
+            g, s, t, deleted, goal=goal, bound=length + growth
         )
         length = dist[t]
         if length < 0:
@@ -437,7 +494,7 @@ def _add_round_shares(preds, s: int, t: int, sigma: float, remaining: float, sha
 
 
 def _explore_pair(
-    g: UncertainGraph, s, t, phis, first=None, bound=None, masses=None, shares=None
+    g: UncertainGraph, s, t, phis, first=None, goal=None, masses=None, shares=None
 ):
     """Run the exploration rounds of one pair up to the largest of the
     ascending ``phis``; yield (sigma, 1 - remaining, rounds run) once per phi,
@@ -466,7 +523,7 @@ def _explore_pair(
     sigma = 0.0
     total = 0.0  # mass in ``masses``
     count = 0
-    rounds = _rounds(g, s, t, first, bound)
+    rounds = _rounds(g, s, t, first, goal)
     for phi in phis:
         if 1.0 - remaining < phi:
             for length, preds in rounds:
@@ -532,15 +589,15 @@ def _gamma_delta(masses):
     return gamma, delta
 
 
-def _pair_gamma_delta(g, s, t, phi, first=None, bound=None):
+def _pair_gamma_delta(g, s, t, phi, first=None, goal=None):
     """``_gamma_delta`` of the estimated s-t distance distribution."""
     masses = []
-    [_] = _explore_pair(g, s, t, (phi,), first, bound, masses)
+    [_] = _explore_pair(g, s, t, (phi,), first, goal, masses)
     return _gamma_delta(masses)
 
 
-def _reachable_targets(g: UncertainGraph, bounds, s: int):
-    """Yield (t, round one, t's round bound) for every target t > s that s reaches.
+def _reachable_targets(g: UncertainGraph, goals, s: int):
+    """Yield (t, round one, t's ``_Goal``) for every target t > s that s reaches.
 
     One BFS from s without deletions serves round one of every target; the
     other targets never connect, so they get no BFS at all.
@@ -549,19 +606,19 @@ def _reachable_targets(g: UncertainGraph, bounds, s: int):
     dist = first[0]
     for t in range(s + 1, g.node_count):
         if dist[t] >= 0:
-            yield t, first, bounds[t]
+            yield t, first, goals[t]
 
 
 def _source_partials(g: UncertainGraph, reach: float, workers: int, task) -> list:
-    """``task(bounds, s)`` for every source s < n - 1, in source order, for
+    """``task(goals, s)`` for every source s < n - 1, in source order, for
     rounds that run up to phi ``reach``.
 
     At reach 0 no pair runs a round: there are no sources, so no round bounds
     are built and no pool starts. Otherwise they are built once per call.
     """
     sources = range(g.node_count - 1) if reach > 0.0 else range(0)
-    bounds = _round_bounds(g) if sources else None
-    return _parallel.run_ordered(functools.partial(task, bounds), sources, workers)
+    goals = _round_bounds(g) if sources else None
+    return _parallel.run_ordered(functools.partial(task, goals), sources, workers)
 
 
 def _merged(parts, shape, dtype=float) -> np.ndarray:
@@ -585,23 +642,23 @@ def _add_betweenness(partial, shares, sigma: float, phi_st: float) -> None:
             partial[v] += share / sigma * phi_st
 
 
-def _harmonic_source_task(g: UncertainGraph, phi: float, bounds, s: int) -> np.ndarray:
+def _harmonic_source_task(g: UncertainGraph, phi: float, goals, s: int) -> np.ndarray:
     partial = np.zeros(g.node_count)
-    for t, first, bound in _reachable_targets(g, bounds, s):
-        _add_closeness(partial, s, t, *_pair_gamma_delta(g, s, t, phi, first, bound))
+    for t, first, goal in _reachable_targets(g, goals, s):
+        _add_closeness(partial, s, t, *_pair_gamma_delta(g, s, t, phi, first, goal))
     return partial
 
 
-def _betweenness_source_task(g: UncertainGraph, phi: float, bounds, s: int) -> np.ndarray:
+def _betweenness_source_task(g: UncertainGraph, phi: float, goals, s: int) -> np.ndarray:
     partial = np.zeros(g.node_count)
-    for t, first, bound in _reachable_targets(g, bounds, s):
+    for t, first, goal in _reachable_targets(g, goals, s):
         shares = {}  # inner node -> summed relative path probability
-        [(sigma, phi_st, _)] = _explore_pair(g, s, t, (phi,), first, bound, shares=shares)
+        [(sigma, phi_st, _)] = _explore_pair(g, s, t, (phi,), first, goal, shares=shares)
         _add_betweenness(partial, shares, sigma, phi_st)
     return partial
 
 
-def _grid_source_task(g: UncertainGraph, phis, bounds, s: int):
+def _grid_source_task(g: UncertainGraph, phis, goals, s: int):
     """Per phi of the ascending ``phis``, the harmonic and betweenness partial
     sums over the pairs (s, t > s), as a (len(phis), 2, n) array, and the
     rounds a pass at that phi alone runs for them."""
@@ -609,10 +666,10 @@ def _grid_source_task(g: UncertainGraph, phis, bounds, s: int):
     # and give the same floats.
     partial = [([0.0] * g.node_count, [0.0] * g.node_count) for _ in phis]
     rounds = [0] * len(phis)
-    for t, first, bound in _reachable_targets(g, bounds, s):
+    for t, first, goal in _reachable_targets(g, goals, s):
         masses = []
         shares = {}  # inner node -> summed relative path probability
-        stops = _explore_pair(g, s, t, phis, first, bound, masses, shares)
+        stops = _explore_pair(g, s, t, phis, first, goal, masses, shares)
         for k, (sigma, phi_st, count) in enumerate(stops):
             closeness, between = partial[k]
             _add_closeness(closeness, s, t, *_gamma_delta(masses))

@@ -208,7 +208,27 @@ def test_sweep_rejects_a_bad_phi_grid_before_running(tmp_path, capsys, monkeypat
         assert code == 1
         assert_one_line_error(capsys, message)
         assert calls == []
-        assert not (out_dir / "sweep.csv").exists()
+        assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("phi", [2, "nan"])
+def test_figure_examples_checks_phi_before_making_its_directory(tmp_path, capsys, phi):
+    out_dir = tmp_path / "fresh"
+    assert run("reproduce", "figure-examples", "--phi", phi, "--out-dir", out_dir) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: phi must lie in [0, 1]"]
+    assert not out_dir.exists()
+
+
+def test_negative_exact_cap_is_a_one_line_error(tmp_path, capsys):
+    # Only certain edges: nothing to enumerate, and still the cap is refused.
+    graph_path = tmp_path / "g.el"
+    save_graph(UncertainGraph(3, [(0, 1), (1, 2)], [1.0, 1.0]), graph_path)
+    out = tmp_path / "o.scores"
+    for method in ("exact-harmonic", "exact-betweenness"):
+        assert run(method, graph_path, "-o", out, "--cap", -1) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: cap must be >= 0"]
+        assert not out.exists()
+    assert run("exact-harmonic", graph_path, "-o", out, "--cap", 0) == 0
 
 
 def test_sweep_settings_come_from_the_options_by_field_name(tmp_path, monkeypatch):
@@ -291,6 +311,7 @@ def test_worker_count_below_one_is_a_one_line_error(
         argv = [argv[0], graph_path, "-o", tmp_path / "s.scores", *argv[1:]]
     assert run(*argv) == 1
     assert_one_line_error(capsys, fragment)
+    assert not (tmp_path / "out").exists()  # the sweep makes --out-dir only after its checks
 
 
 def test_compare_gap_in_node_ids_is_a_one_line_error(tmp_path, capsys):

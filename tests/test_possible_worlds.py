@@ -53,6 +53,19 @@ def test_enumeration_cap():
         list(enumerate_worlds(g, cap=10))
 
 
+def test_negative_enumeration_cap_is_rejected():
+    # Even with no uncertain edge to enumerate, a cap below 0 is refused.
+    g = UncertainGraph(3, [(0, 1), (1, 2)], [1.0, 1.0])
+    assert len(list(enumerate_worlds(g, cap=0))) == 1
+    for call in (
+        lambda: list(enumerate_worlds(g, cap=-1)),
+        lambda: exact_distance_distribution(g, 0, 2, cap=-1),
+        lambda: exact_expected_centrality(g, "harmonic", cap=-1),
+    ):
+        with pytest.raises(ValueError, match=r"^cap must be >= 0$"):
+            call()
+
+
 def test_exact_distribution_parallel(parallel_graph):
     d = exact_distance_distribution(parallel_graph, 0, 3)
     assert d.mass[2] == pytest.approx(0.99, abs=1e-12)

@@ -292,6 +292,13 @@ def _reference_betweenness(g, phi):
     return scores * (2.0 / ((n - 1) * (n - 2)))
 
 
+def _hop_rows(g):
+    """Each node's hop distance to every target t (row t), -1 outside t's
+    component, from the deterministic module's plain BFS."""
+    adj = g.neighbor_lists(g.probs > 0.0)
+    return [deterministic.hop_distances(adj, t) for t in range(g.node_count)]
+
+
 def _bit_identity_graphs():
     rng = np.random.default_rng(2024)
     for i in range(24):
@@ -311,8 +318,7 @@ def test_bounded_rounds_match_unbounded_reference_bit_for_bit(phi):
     # same bits as running every round of every pair as a full BFS.
     disconnected = 0
     for g in _bit_identity_graphs():
-        hops = psp._hop_table(g)
-        disconnected += any(-1 in row for row in hops)
+        disconnected += any(-1 in row for row in _hop_rows(g))
         h = psp_harmonic_all(g, phi).scores
         b = psp_betweenness_all(g, phi).scores
         assert h.tobytes() == _reference_harmonic(g, phi).tobytes()
@@ -323,11 +329,13 @@ def test_bounded_rounds_match_unbounded_reference_bit_for_bit(phi):
 def test_min_edges_over_preds_match_the_adjacency_walk():
     # Every round of every pair, in all three BFS modes: the full sweep that
     # serves round one, the sweep that stops at t's level, and the
-    # hop-bounded later rounds. The expected edges come from the earlier tag
-    # sweep. Constant-probability graphs exercise the ties.
+    # hop-bounded later rounds, which take t's entry of ``_round_bounds``.
+    # The expected edges come from the earlier tag sweep. Constant-probability
+    # graphs exercise the ties.
     rounds = 0
     for g in _bit_identity_graphs():
-        hops = psp._hop_table(g)
+        goals = psp._round_bounds(g)
+        rows = _hop_rows(g)
         for s in range(g.node_count - 1):
             full = _forward_bfs(g, s, s, frozenset())
             for t in range(s + 1, g.node_count):
@@ -338,8 +346,11 @@ def test_min_edges_over_preds_match_the_adjacency_walk():
                     if dist[t] < 0:
                         break
                     expected = _reference_min_edges(g, t, dist, tags, deleted)
-                    bounded = _forward_bfs(
-                        g, s, t, deleted, hops_to_t=hops[t], bound=length + 1
+                    bounded = _forward_bfs(g, s, t, deleted, goal=goals[t], bound=length + 1)
+                    # Round one's bound of 1 lies below s's hop distance to
+                    # t whenever that is 2 or more.
+                    assert bounded == _reference_bounded_sweep(
+                        g, s, t, deleted, rows[t], length + 1
                     )
                     runs = [_forward_bfs(g, s, t, deleted)[1:], bounded[1:]]
                     if not deleted:
@@ -414,10 +425,112 @@ def test_later_rounds_reach_only_nodes_within_the_bound(monkeypatch):
 
     monkeypatch.setattr(psp, "_forward_bfs", checking_bfs)
     for g in _bit_identity_graphs():
-        hops = psp._hop_table(g)
+        hops = _hop_rows(g)
         psp_harmonic_all(g, 1.0)
         psp_betweenness_all(g, 1.0)
     assert within > 100 and unbounded > 100
+
+
+def _reference_bounded_sweep(g, s, t, deleted, row, bound):
+    """The earlier hop-bounded sweep: each edge to a new node is tested
+    against t's hop ``row`` (None sweeps unbounded), and a sweep that misses
+    t after the test rejected a non-deleted edge sweeps once more without
+    the row."""
+    n = g.node_count
+    while True:
+        dist = [-1] * n
+        dist[s] = 0
+        preds = [None] * n
+        least = [math.inf] * n
+        queue = deque([s])
+        t_dist = -1
+        rejected = False
+        while queue:
+            curr = queue.popleft()
+            d_curr = dist[curr]
+            if t_dist >= 0 and d_curr >= t_dist:
+                break
+            low = least[curr]
+            d_next = d_curr + 1
+            slack = bound - d_next
+            for child, p, ekey in g.adj[curr]:
+                d_child = dist[child]
+                if d_child < 0:
+                    if row is not None and row[child] > slack:
+                        rejected = rejected or ekey not in deleted
+                        continue
+                    if ekey in deleted:
+                        continue
+                    dist[child] = d_next
+                    preds[child] = [(curr, p)]
+                    queue.append(child)
+                    least[child] = min(p, low)
+                    if child == t:
+                        t_dist = d_next
+                elif d_child == d_next and ekey not in deleted:
+                    preds[child].append((curr, p))
+                    least[child] = min(least[child], p, low)
+        if t_dist >= 0 or not rejected:
+            return dist, preds, least
+        row = None
+
+
+def test_every_sweep_returns_the_per_edge_hop_test_sweep(monkeypatch):
+    # Every _forward_bfs call of both drivers at phi 1.0 returns the whole
+    # (dist, preds, least) of the earlier sweep, which tests each edge
+    # against t's hop row: the shared first rounds, the bounded later rounds,
+    # and the calls whose bounded sweep misses t and sweeps again.
+    calls = misses = 0
+    real_bfs = psp._forward_bfs
+
+    def checking_bfs(g, s, t, deleted, **kwargs):
+        nonlocal calls, misses
+        found = real_bfs(g, s, t, deleted, **kwargs)
+        goal, bound = kwargs.get("goal"), kwargs.get("bound", 0)
+        row = None if goal is None else rows[t]
+        assert found == _reference_bounded_sweep(g, s, t, deleted, row, bound)
+        calls += 1
+        misses += goal is not None and not 0 <= found[0][t] <= bound
+        return found
+
+    monkeypatch.setattr(psp, "_forward_bfs", checking_bfs)
+    for g in [*_bit_identity_graphs(), top_right_grid(0.99, 0.05), top_right_grid(0.5, 0.3)]:
+        rows = _hop_rows(g)
+        psp_harmonic_all(g, 1.0)
+        psp_betweenness_all(g, 1.0)
+    assert calls > 1000 and misses > 100
+
+
+def test_round_bounds_match_networkx():
+    # Per target t: the hop row of networkx (-1 outside t's component); per
+    # node, its adjacency filtered to the nodes closer to t (toward) and no
+    # farther (within), in adjacency order, and the node's own adjacency
+    # tuple when the filter drops nothing; growth 2 exactly when t's
+    # component is bipartite. Edges of probability 0 are no edges.
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(2025)
+    split = impossible = 0
+    for _ in range(20):
+        n = int(rng.integers(4, 16))
+        g = random_uncertain_graph(rng, n=n, edge_prob=float(rng.uniform(0.1, 0.5)))
+        live = nx.Graph()
+        live.add_nodes_from(range(n))
+        live.add_edges_from(e for e, p in zip(g.edges, g.probs) if p > 0.0)
+        split += nx.number_connected_components(live) > 1
+        impossible += int(np.sum(g.probs == 0.0))
+        for t, goal in enumerate(psp._round_bounds(g)):
+            lengths = nx.single_source_shortest_path_length(live, t)
+            row = [lengths.get(v, -1) for v in range(n)]
+            assert goal.hops == row
+            for v, edges in enumerate(g.adj):
+                toward = [e for e in edges if row[e[0]] < row[v]]
+                within = [e for e in edges if row[e[0]] <= row[v]]
+                assert list(goal.toward[v]) == toward and list(goal.within[v]) == within
+                assert (goal.toward[v] is edges) == (toward == list(edges))
+                assert (goal.within[v] is edges) == (within == list(edges))
+            component = live.subgraph(nx.node_connected_component(live, t))
+            assert goal.growth == (2 if nx.is_bipartite(component) else 1)
+    assert split >= 5 and impossible > 0
 
 
 def grid(side, probs):
@@ -442,9 +555,9 @@ def test_round_bounds_grow_by_two_in_bipartite_components():
     edges = [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (5, 6), (4, 6), (6, 7), (1, 3)]
     g = UncertainGraph(9, edges, [0.5] * 8 + [0.0])
     bounds = psp._round_bounds(g)
-    assert [row for row, _ in bounds] == psp._hop_table(g)
-    assert [growth for _, growth in bounds] == [2, 2, 2, 2, 1, 1, 1, 1, 2]
-    assert {growth for _, growth in psp._round_bounds(seeded_grid(5, 0))} == {2}
+    assert [goal.hops for goal in bounds] == _hop_rows(g)
+    assert [goal.growth for goal in bounds] == [2, 2, 2, 2, 1, 1, 1, 1, 2]
+    assert {goal.growth for goal in psp._round_bounds(seeded_grid(5, 0))} == {2}
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -459,7 +572,7 @@ def test_bipartite_later_rounds_find_t_within_their_first_bound(seed, monkeypatc
     def checking_bfs(g, s, t, deleted, **kwargs):
         nonlocal checked
         dist, preds, least = real_bfs(g, s, t, deleted, **kwargs)
-        if kwargs.get("hops_to_t") is not None and dist[t] >= 0:
+        if kwargs.get("goal") is not None and dist[t] >= 0:
             assert dist[t] <= kwargs["bound"]
             checked += 1
         return dist, preds, least
