@@ -117,21 +117,31 @@ def _rh_radius(n: int, avg_degree: float, alpha: float) -> float:
     alpha*sinh(alpha*r)/(cosh(alpha*R)-1). The expected degree falls as
     the radius grows, and even the smallest disk joins only part of the
     pairs, so a target above what it reaches is a ValueError naming n and k.
+    So is a radius the search reaches where the expectation is not finite
+    (cosh(alpha * R) overflows for a large gamma), naming n, k and gamma.
     """
     nodes, weights = np.polynomial.legendre.leggauss(128)
 
     def expected_degree(radius: float) -> float:
         r = 0.5 * radius * (nodes + 1.0)
         w = 0.5 * radius * weights
-        dens = alpha * np.sinh(alpha * r) / (np.cosh(alpha * radius) - 1.0)
-        wf = w * dens
-        cr = np.cosh(r)
-        sr = np.sinh(r)
-        num = np.outer(cr, cr) - np.cosh(radius)
-        den = np.outer(sr, sr)
-        cosang = np.clip(num / den, -1.0, 1.0)
-        frac = np.arccos(cosang) / np.pi  # admissible angle fraction
-        return float((n - 1) * (wf @ frac @ wf))
+        with np.errstate(over="ignore", invalid="ignore"):
+            dens = alpha * np.sinh(alpha * r) / (np.cosh(alpha * radius) - 1.0)
+            wf = w * dens
+            cr = np.cosh(r)
+            sr = np.sinh(r)
+            num = np.outer(cr, cr) - np.cosh(radius)
+            den = np.outer(sr, sr)
+            cosang = np.clip(num / den, -1.0, 1.0)
+            frac = np.arccos(cosang) / np.pi  # admissible angle fraction
+            degree = float((n - 1) * (wf @ frac @ wf))
+        if not math.isfinite(degree):
+            raise ValueError(
+                f"rh cannot calibrate average degree k={avg_degree:g} with n={n} nodes"
+                f" and gamma={2.0 * alpha + 1.0:g}: the expected degree at disk radius"
+                f" {radius:.3g} is not finite; lower gamma"
+            )
+        return degree
 
     lo = 1e-3
     densest = expected_degree(lo)

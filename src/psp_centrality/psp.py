@@ -467,14 +467,14 @@ def _round_mass(preds, s: int, t: int, remaining: float):
     return sum(probs), remaining
 
 
-def _add_round_shares(preds, s: int, t: int, sigma: float, remaining: float, shares, mass=False):
+def _add_round_shares(preds, s: int, t: int, sigma: float, remaining: float, shares):
     """Add each path's relative probability (remaining x its probability) to
     ``sigma`` and to the share of each inner node in ``shares``; return
-    (sigma, remaining times the product of (1 - Pr) over the paths, s1).
+    (sigma, remaining times the product of (1 - Pr) over the paths, s1), s1
+    being the sum of the round's path probabilities.
 
-    s1, the sum of the round's path probabilities, is only summed when
-    ``mass`` asks for it (None otherwise). Up to ``_DP_PATHS`` paths are
-    enumerated; larger rounds are summed over the DAG.
+    Up to ``_DP_PATHS`` paths are enumerated; larger rounds are summed over
+    the DAG.
     """
     try:
         paths = _paths_with_inner(preds, s, t, _DP_PATHS)
@@ -490,12 +490,10 @@ def _add_round_shares(preds, s: int, t: int, sigma: float, remaining: float, sha
         after *= 1.0 - prob
         for v in inner:
             shares[v] = shares.get(v, 0.0) + rel
-    return sigma, after, sum(p for p, _ in paths) if mass else None
+    return sigma, after, sum(p for p, _ in paths)
 
 
-def _explore_pair(
-    g: UncertainGraph, s, t, phis, first=None, goal=None, masses=None, shares=None
-):
+def _explore_pair(g: UncertainGraph, s, t, phis, masses, first=None, goal=None, shares=None):
     """Run the exploration rounds of one pair up to the largest of the
     ascending ``phis``; yield (sigma, 1 - remaining, rounds run) once per phi,
     in order, at the point where a pass at that phi alone stops.
@@ -513,7 +511,7 @@ def _explore_pair(
 
     ``shares`` (a dict) receives each inner node's summed relative path
     probability (remaining x Pr), and sigma sums it over every path. Without
-    ``shares`` the rounds stop at the cap. With both, the distribution's
+    ``shares`` the rounds stop at the cap. With them, the distribution's
     rounds are a prefix of the shares' rounds: the path enumerations list
     the same probabilities in the same order, so each measure computes the
     same floats as when it runs alone. At each yield, ``masses`` and
@@ -522,6 +520,7 @@ def _explore_pair(
     remaining = 1.0
     sigma = 0.0
     total = 0.0  # mass in ``masses``
+    capped = False  # ``masses`` is complete
     count = 0
     rounds = _rounds(g, s, t, first, goal)
     for phi in phis:
@@ -531,17 +530,15 @@ def _explore_pair(
                 if shares is None:
                     s1, after = _round_mass(preds, s, t, remaining)
                 else:
-                    sigma, after, s1 = _add_round_shares(
-                        preds, s, t, sigma, remaining, shares, masses is not None
-                    )
-                if masses is not None:
+                    sigma, after, s1 = _add_round_shares(preds, s, t, sigma, remaining, shares)
+                if not capped:
                     new_mass = remaining * s1
                     if total + new_mass >= 1.0:
                         masses.append((length, 1.0 - total))
                         if shares is None:
                             rounds.close()  # no more rounds for any phi
                             break
-                        masses = None  # complete; the shares' rounds go on
+                        capped = True  # the shares' rounds go on
                     else:
                         masses.append((length, new_mass))
                         total += new_mass
@@ -558,7 +555,7 @@ def psp_distance_distribution(
     require_pair(g.node_count, s, t)
     require_phi(phi)
     masses = []
-    [_] = _explore_pair(g, s, t, (phi,), masses=masses)
+    [_] = _explore_pair(g, s, t, (phi,), masses)
     mass = np.zeros(g.node_count)
     total = 0.0
     for k, m in masses:
@@ -592,7 +589,7 @@ def _gamma_delta(masses):
 def _pair_gamma_delta(g, s, t, phi, first=None, goal=None):
     """``_gamma_delta`` of the estimated s-t distance distribution."""
     masses = []
-    [_] = _explore_pair(g, s, t, (phi,), first, goal, masses)
+    [_] = _explore_pair(g, s, t, (phi,), masses, first, goal)
     return _gamma_delta(masses)
 
 
@@ -649,19 +646,11 @@ def _harmonic_source_task(g: UncertainGraph, phi: float, goals, s: int) -> np.nd
     return partial
 
 
-def _betweenness_source_task(g: UncertainGraph, phi: float, goals, s: int) -> np.ndarray:
-    partial = np.zeros(g.node_count)
-    for t, first, goal in _reachable_targets(g, goals, s):
-        shares = {}  # inner node -> summed relative path probability
-        [(sigma, phi_st, _)] = _explore_pair(g, s, t, (phi,), first, goal, shares=shares)
-        _add_betweenness(partial, shares, sigma, phi_st)
-    return partial
-
-
-def _grid_source_task(g: UncertainGraph, phis, goals, s: int):
-    """Per phi of the ascending ``phis``, the harmonic and betweenness partial
-    sums over the pairs (s, t > s), as a (len(phis), 2, n) array, and the
-    rounds a pass at that phi alone runs for them."""
+def _betweenness_source_task(g: UncertainGraph, phis, goals, s: int):
+    """Per phi of the ascending ``phis``, the betweenness partial sums over
+    the pairs (s, t > s), and also the harmonic ones from the distance
+    masses that the same rounds collect: a (len(phis), 2, n) array, harmonic
+    first, and the rounds a pass at that phi alone runs for them."""
     # Plain lists: per-element adds to them are cheaper than to numpy arrays
     # and give the same floats.
     partial = [([0.0] * g.node_count, [0.0] * g.node_count) for _ in phis]
@@ -669,7 +658,7 @@ def _grid_source_task(g: UncertainGraph, phis, goals, s: int):
     for t, first, goal in _reachable_targets(g, goals, s):
         masses = []
         shares = {}  # inner node -> summed relative path probability
-        stops = _explore_pair(g, s, t, phis, first, goal, masses, shares)
+        stops = _explore_pair(g, s, t, phis, masses, first, goal, shares)
         for k, (sigma, phi_st, count) in enumerate(stops):
             closeness, between = partial[k]
             _add_closeness(closeness, s, t, *_gamma_delta(masses))
@@ -708,13 +697,10 @@ def psp_betweenness_all(g: UncertainGraph, phi: float, workers: int = 1) -> Cent
     Per pair, each explored path contributes its estimated relative
     probability to the nodes it crosses; the pair's share is scaled by the
     final estimated connection probability. Deterministic for any worker
-    count (fixed-order merge of per-source partials).
+    count (fixed-order merge of per-source partials). It is
+    ``psp_harmonic_betweenness_grid`` at the one phi, which checks n and phi.
     """
-    require_nodes("betweenness", g.node_count)
-    require_phi(phi)
-    task = functools.partial(_betweenness_source_task, g, phi)
-    scores = _merged(_source_partials(g, phi, workers, task), g.node_count)
-    return _betweenness_vector(scores, phi)
+    return psp_harmonic_betweenness_grid(g, (phi,), workers)[0].betweenness
 
 
 class PhiScores(NamedTuple):
@@ -737,14 +723,14 @@ def psp_harmonic_betweenness_grid(
     smaller phi takes the pair's state where a pass at that phi alone stops
     (its estimated connection probability reaches phi, or t disconnects),
     so its scores equal those calls bit for bit. The pass does the BFS and
-    min-edge work of ``psp_betweenness_all`` at the largest phi alone. Every
-    phi is checked before any work; an empty grid gives [].
+    min-edge work of a pass at the largest phi alone. Every phi is checked
+    before any work; an empty grid gives [].
     """
     require_nodes("betweenness", g.node_count)
     for phi in phi_grid:
         require_phi(phi)
     phis = sorted(set(phi_grid))
-    task = functools.partial(_grid_source_task, g, phis)
+    task = functools.partial(_betweenness_source_task, g, phis)
     parts = _source_partials(g, max(phis, default=0.0), workers, task)
     scores = _merged((p for p, _ in parts), (len(phis), 2, g.node_count))
     rounds = _merged((r for _, r in parts), len(phis), int)

@@ -47,11 +47,17 @@ def test_generate_usage_error(tmp_path, capsys):
         (("rh", "--k", 6, "--gamma", "nan"), "rh needs a finite gamma > 2"),
         (("rh", "--k", 6, "--gamma", "inf"), "rh needs a finite gamma > 2"),
         (("rh", "--k", 6, "--gamma", 3), "rh cannot reach average degree k=6 with n=10 nodes"),
+        (("rh", "--k", 3, "--gamma", 400),
+         "rh cannot calibrate average degree k=3 with n=10 nodes and gamma=400"),
     ]:
         with pytest.raises(SystemExit) as exc:
             run("generate", *options, "--n", 10, "-o", tmp_path / "x.el")
         assert exc.value.code == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        # The usage lines, then one error line; no warning or traceback.
+        [line] = [line for line in err.splitlines() if "error:" in line]
+        assert message in line
+        assert "Warning" not in err and "Traceback" not in err
 
 
 def test_centrality_commands_and_determinism(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -175,3 +176,17 @@ def test_rh_degree_beyond_the_smallest_disk_names_n_and_k():
     with pytest.raises(ValueError, match="k=1.5 with n=2 nodes"):
         GenSpec(model="rh", n=2, k=1.5, gamma=3.0).validate()
     assert gen_rh(12, 6.0, 3.0, np.random.default_rng(0)).node_count == 12
+
+
+def test_rh_degree_that_overflows_names_n_k_and_gamma():
+    # cosh(alpha R) overflows once alpha R passes about 710: at gamma 400 the
+    # bracket search's first radius (4.61) already does; at gamma 3e6 even
+    # the smallest disk (radius 0.001) does.
+    for gamma, radius in ((400.0, "4.61"), (3e6, "0.001")):
+        message = (
+            f"rh cannot calibrate average degree k=3 with n=10 nodes and gamma={gamma:g}:"
+            f" the expected degree at disk radius {radius} is not finite"
+        )
+        with pytest.raises(ValueError, match=re.escape(message)):
+            GenSpec(model="rh", n=10, k=3.0, gamma=gamma).validate()
+    assert GenSpec(model="rh", n=10, k=3.0, gamma=200.0).validate() is None

@@ -268,7 +268,9 @@ def _reference_harmonic(g, phi):
     return scores / (n - 1)
 
 
-def _reference_betweenness(g, phi):
+def _reference_betweenness(g, phi, pair_rounds=None):
+    """Betweenness from per-pair unbounded rounds, path by path. A list
+    ``pair_rounds`` receives (rounds, phi reached) per pair (s, t > s)."""
     n = g.node_count
     scores = np.zeros(n)
     for s in range(n - 1):
@@ -276,7 +278,9 @@ def _reference_betweenness(g, phi):
         for t in range(s + 1, n):
             buf = np.zeros(n)
             sigma, remaining = 0.0, 1.0
+            count = 0
             for _, preds in _reference_rounds(g, s, t, lambda: 1.0 - remaining >= phi):
+                count += 1
                 after = remaining
                 for prob, inner in _paths_with_inner(preds, s, t):
                     rel = prob * remaining
@@ -285,6 +289,8 @@ def _reference_betweenness(g, phi):
                     for v in inner:
                         buf[v] += rel
                 remaining = after
+            if pair_rounds is not None:
+                pair_rounds.append((count, 1.0 - remaining >= phi))
             if sigma > 0.0:
                 touched = np.flatnonzero(buf)
                 partial[touched] += buf[touched] / sigma * (1.0 - remaining)
@@ -1076,13 +1082,20 @@ def test_deterministic_reduction_any_phi():
         )
 
 
-def _assert_rows_equal_both_drivers(g, phi, rows):
-    """Every ``PhiScores`` row equals psp_harmonic_all and psp_betweenness_all
-    at phi bit for bit."""
-    harmonic, betweenness = psp_harmonic_all(g, phi), psp_betweenness_all(g, phi)
+def _assert_rows_equal_harmonic_and_reference(g, phi, rows, dag=False):
+    """Every ``PhiScores`` row equals psp_harmonic_all at phi bit for bit,
+    and its betweenness equals every other row's bit for bit and
+    ``_reference_betweenness`` at phi: bit for bit, or within 1e-12 when
+    ``dag`` rounds are summed over their DAG, which the reference lists path
+    by path."""
+    harmonic, reference = psp_harmonic_all(g, phi), _reference_betweenness(g, phi)
     for h, b, _ in rows:
         assert h.scores.tobytes() == harmonic.scores.tobytes()
-        assert b.scores.tobytes() == betweenness.scores.tobytes()
+        assert b.scores.tobytes() == rows[0].betweenness.scores.tobytes()
+        if dag:
+            assert np.max(np.abs(b.scores - reference)) <= 1e-12
+        else:
+            assert b.scores.tobytes() == reference.tobytes()
         assert (h.method, h.params) == ("psp-harmonic", {"phi": phi})
         assert (b.method, b.params) == ("psp-betweenness", {"phi": phi})
 
@@ -1107,6 +1120,18 @@ def _round_work(monkeypatch, driver, g, phi):
     return counts["bfs"], counts["min_edges"]
 
 
+def _reference_round_work(g, phi):
+    """(_forward_bfs calls, retrieve_min_edges calls) of an all-pairs pass
+    over the rounds ``_reference_betweenness`` runs: one shared first-round
+    BFS per source, then per pair a min-edge walk and a BFS before every
+    later round, and one more of each after a last round that leaves phi
+    unreached (that BFS finds t disconnected)."""
+    pairs = []
+    _reference_betweenness(g, phi, pairs)
+    later = sum(count - reached for count, reached in pairs if count)
+    return (g.node_count - 1 if phi > 0.0 else 0) + later, later
+
+
 def _rounds_with_shares(monkeypatch, g, phi):
     """Rounds of psp_betweenness_all(g, phi), counted by their share sums."""
     calls = []
@@ -1123,9 +1148,10 @@ def _rounds_with_shares(monkeypatch, g, phi):
 
 
 def test_joint_pass_does_the_betweenness_work_alone(monkeypatch):
-    # Same BFS and min-edge calls as psp_betweenness_all at the same phi:
-    # the harmonic rounds are a prefix of the betweenness rounds. The grid
-    # pass does the work of psp_betweenness_all at its largest phi alone.
+    # A one-phi pass makes the BFS and min-edge calls of the betweenness
+    # rounds alone, counted from the reference's rounds: the harmonic rounds
+    # are a prefix of them. The grid pass does the work of a pass at its
+    # largest phi alone.
     capped = 0
     grid = (0.3, 0.8, 1.0)
 
@@ -1136,7 +1162,7 @@ def test_joint_pass_does_the_betweenness_work_alone(monkeypatch):
         g = generate(GenSpec(model="er", n=30, p=0.15, prob_dist="uniform01", seed=seed))
         for phi in grid:
             joint = _round_work(monkeypatch, one_phi_pass, g, phi)
-            assert joint == _round_work(monkeypatch, psp_betweenness_all, g, phi)
+            assert joint == _reference_round_work(g, phi)
             assert min(joint) > 0
             capped += _round_work(monkeypatch, psp_harmonic_all, g, phi)[0] < joint[0]
         rows = []
@@ -1159,12 +1185,13 @@ GRID = (0.5, 0.0, 0.3, 1.0, 0.8, 0.3)  # unsorted, a duplicate, both ends
 
 def _assert_grid_equals_the_drivers(g, workers):
     """Each row of a pass over GRID, and a one-phi pass at each of its phi
-    values, equals the two single-measure drivers at that phi."""
+    values, equals the harmonic driver and the betweenness reference at
+    that phi."""
     rows = psp_harmonic_betweenness_grid(g, GRID, workers)
     assert len(rows) == len(GRID)
     for phi, row in zip(GRID, rows):
         [alone] = psp_harmonic_betweenness_grid(g, (phi,), workers)
-        _assert_rows_equal_both_drivers(g, phi, (row, alone))
+        _assert_rows_equal_harmonic_and_reference(g, phi, (row, alone))
 
 
 @pytest.mark.parametrize("workers", (1, 2))
@@ -1190,7 +1217,7 @@ def test_grid_pass_equals_a_pass_per_phi_bit_for_bit(workers, monkeypatch):
     for phi, row in zip(GRID, rows):
         built.clear()
         [alone] = psp_harmonic_betweenness_grid(dag_grid, (phi,), workers)
-        _assert_rows_equal_both_drivers(dag_grid, phi, (row, alone))
+        _assert_rows_equal_harmonic_and_reference(dag_grid, phi, (row, alone), dag=True)
         assert sum(built) > 0 or phi == 0.0
 
 
@@ -1229,7 +1256,7 @@ def graphs_with_isolated_nodes(draw):
 @settings(max_examples=60, deadline=None)
 @given(graphs_with_isolated_nodes(), st.sampled_from((0.0, 0.3, 0.8, 1.0)))
 def test_joint_pass_equals_both_drivers_hypothesis(g, phi):
-    _assert_rows_equal_both_drivers(g, phi, psp_harmonic_betweenness_grid(g, (phi,)))
+    _assert_rows_equal_harmonic_and_reference(g, phi, psp_harmonic_betweenness_grid(g, (phi,)))
 
 
 def test_phi_zero_scores_are_zero(detour):
